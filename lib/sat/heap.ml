@@ -1,15 +1,22 @@
-(* Indexed binary max-heap over variable indices, ordered by a client
-   comparison (VSIDS activity).  Supports decrease/increase-key via [update]
-   because we track each element's position. *)
+(* Indexed binary max-heap over variable indices, ordered by a priority
+   array (VSIDS activity) that it reads directly, with no comparison
+   closure.  Supports decrease/increase-key via [update] because we track
+   each element's position. *)
 
 type t = {
   mutable heap : int array;     (* heap.(i) = element at heap position i *)
   mutable indices : int array;  (* indices.(x) = position of x, or -1 *)
   mutable size : int;
-  lt : int -> int -> bool;      (* strict "greater priority" ordering *)
+  mutable prio : float array;   (* prio.(x) = priority of x *)
 }
 
-let create lt = { heap = Array.make 16 (-1); indices = Array.make 16 (-1); size = 0; lt }
+let create prio =
+  { heap = Array.make 16 (-1); indices = Array.make 16 (-1); size = 0; prio }
+
+let set_priorities t prio = t.prio <- prio
+
+(* Strict "greater priority" ordering. *)
+let lt t x y = t.prio.(x) > t.prio.(y)
 
 let size t = t.size
 
@@ -43,7 +50,7 @@ let swap t i j =
 let rec percolate_up t i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if t.lt t.heap.(i) t.heap.(parent) then begin
+    if lt t t.heap.(i) t.heap.(parent) then begin
       swap t i parent;
       percolate_up t parent
     end
@@ -52,8 +59,8 @@ let rec percolate_up t i =
 let rec percolate_down t i =
   let left = (2 * i) + 1 and right = (2 * i) + 2 in
   let best = ref i in
-  if left < t.size && t.lt t.heap.(left) t.heap.(!best) then best := left;
-  if right < t.size && t.lt t.heap.(right) t.heap.(!best) then best := right;
+  if left < t.size && lt t t.heap.(left) t.heap.(!best) then best := left;
+  if right < t.size && lt t t.heap.(right) t.heap.(!best) then best := right;
   if !best <> i then begin
     swap t i !best;
     percolate_down t !best
@@ -94,7 +101,7 @@ let check_exn t =
       failwith "Heap.check_exn: element out of index range";
     if t.indices.(x) <> i then
       failwith "Heap.check_exn: index map disagrees with heap array";
-    if i > 0 && t.lt x t.heap.((i - 1) / 2) then
+    if i > 0 && lt t x t.heap.((i - 1) / 2) then
       failwith "Heap.check_exn: heap property violated"
   done;
   Array.iteri

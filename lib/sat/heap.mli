@@ -1,13 +1,20 @@
 (** Indexed binary heap over non-negative integers (variable indices).
 
-    The comparison [lt x y] must return [true] when [x] has strictly higher
-    priority than [y]; [remove_min] then returns the highest-priority
-    element.  Priorities may change externally, in which case [update] must
-    be called to restore the heap invariant. *)
+    Element [x] has priority [prio.(x)] in the priority array the heap
+    reads; [remove_min] returns the highest-priority element.  Priorities
+    may change externally, in which case [update] must be called to
+    restore the heap invariant. *)
 
 type t
 
-val create : (int -> int -> bool) -> t
+val create : float array -> t
+(** [create prio]: an empty heap ordered by [prio], which must cover
+    every element inserted. *)
+
+val set_priorities : t -> float array -> unit
+(** Replace the priority array (e.g. with a grown copy holding the same
+    priorities); the heap order is not re-established. *)
+
 val size : t -> int
 val is_empty : t -> bool
 val mem : t -> int -> bool

@@ -1,16 +1,22 @@
 (* A CDCL SAT solver, upgraded from the MiniSat-2005 baseline to a
    Glucose-class engine:
 
-   - watch lists hold {clause; blocker} records, so clauses already
-     satisfied by the blocker literal are skipped without touching clause
-     memory;
-   - binary clauses live in dedicated implication lists and propagate
-     without any clause inspection;
+   - long-clause watch lists are flat parallel arrays of clauses and
+     blocker literals; the blocker is tested before the clause is loaded,
+     so a watcher whose blocker is true is kept without touching clause
+     memory, and a kept watcher is written back only when it has moved;
+   - binary clauses live in dedicated implication lists of the same
+     layout (clause, implied literal) and propagate without any clause
+     inspection;
+   - reasons are a plain clause array, with [dummy_clause] meaning "no
+     reason", and the trail, its level limits and the conflict-analysis
+     scratch are monomorphic stacks of immediates, so an assignment
+     allocates nothing;
    - every learnt clause carries its literal-block distance (LBD); the
      learnt database is reduced glucose-style (glue clauses with LBD <= 2
      are kept forever, evictions sorted by LBD then activity);
-   - conflict clauses are minimized recursively (MiniSat ccmin=2) with an
-     explicit stack;
+   - conflict clauses are minimized recursively (MiniSat ccmin=2) by an
+     explicit depth-first walk that caches redundant and failed nodes;
    - deadlines are also checked inside [propagate] (every
      [deadline_check_interval] propagations), so long conflict-free runs
      on huge trails cannot overshoot an anytime budget.
@@ -28,15 +34,23 @@ type clause = {
   mutable removed : bool;
 }
 
-(* A watcher for clauses of length >= 3.  [blocker] is some literal of the
-   clause (initially the other watched literal): when it is true the
-   clause is satisfied and the watcher is kept without loading the clause. *)
-type watcher = { cref : clause; mutable blocker : Lit.t }
+(* A watch list.  Slot [i < w_n] of a long-clause list holds a clause of
+   length >= 3 watched at the key literal, with [w_lit.(i)] its blocker:
+   some literal of the clause (initially the other watched one) whose
+   truth means the clause is satisfied.  Slot [i] of a binary list holds
+   a binary clause and [w_lit.(i)], the literal it implies when the key
+   literal becomes false. *)
+type watches = {
+  mutable w_cls : clause array;
+  mutable w_lit : Lit.t array;
+  mutable w_n : int;
+}
 
-(* A binary-clause watcher: when the keying literal becomes false,
-   [implied] must become true.  The clause itself is only consulted when a
-   reason or conflict clause is needed. *)
-type bin_watcher = { implied : Lit.t; bin_cref : clause }
+(* Growable stacks of immediates ([Lit.t] is a private [int]): reads and
+   writes compile to plain loads and stores, with no write barrier and no
+   polymorphic-array dispatch as in {!Vec}. *)
+type lit_stack = { mutable lits_a : Lit.t array; mutable lits_n : int }
+type int_stack = { mutable ints_a : int array; mutable ints_n : int }
 
 type result = Sat | Unsat | Unknown
 
@@ -181,20 +195,26 @@ type t = {
   (* Assignment state; arrays are indexed by variable unless noted. *)
   mutable assigns : int array;        (* -1 undef / 0 false / 1 true *)
   mutable level : int array;
-  mutable reason : clause option array;
-  mutable watches : watcher Vec.t array;        (* indexed by literal *)
-  mutable bin_watches : bin_watcher Vec.t array;  (* indexed by literal *)
-  trail : Lit.t Vec.t;
-  trail_lim : int Vec.t;
+  (* [reason.(v)] is meaningful only while [v] is assigned: every
+     assignment overwrites it, so backtracking leaves it stale. *)
+  mutable reason : clause array;      (* dummy_clause = decision/root *)
+  mutable watches : watches array;        (* indexed by literal *)
+  mutable bin_watches : watches array;    (* indexed by literal *)
+  trail : lit_stack;
+  trail_lim : int_stack;
   mutable qhead : int;
   (* Decision heuristics *)
   mutable activity : float array;
   mutable polarity : bool array;
-  order : Heap.t ref;
+  order : Heap.t;                     (* ordered by [activity] *)
   mutable var_inc : float;
   mutable cla_inc : float;
-  (* Scratch *)
-  mutable seen : bool array;
+  (* Conflict-analysis scratch, all empty between conflicts. *)
+  mutable seen : Bytes.t;             (* per variable, see [mark_*] *)
+  an_learnt : lit_stack;              (* non-UIP literals, discovery order *)
+  an_toclear : int_stack;             (* variables whose mark is set *)
+  an_stack : lit_stack;               (* minimization walk: path nodes *)
+  an_index : int_stack;               (* ... and their next reason index *)
   mutable lbd_stamp : int array;      (* indexed by decision level *)
   mutable lbd_gen : int;
   mutable nvars : int;
@@ -249,12 +269,58 @@ let emit_refutation t = emit_learn t [||]
 
 let dummy_lit = Lit.of_var 0
 
+(* The "no clause" sentinel: the reason of decisions and root facts, and
+   [propagate]'s "no conflict".  Compared with [==] only. *)
 let dummy_clause =
   { lits = [||]; cla_act = 0.0; lbd = 0; learnt = false; removed = true }
 
-let dummy_watcher = { cref = dummy_clause; blocker = dummy_lit }
+(* Conflict-analysis marks in [seen].  [mark_source]: the variable occurs
+   in the clause being learnt; [mark_removable]/[mark_failed]: the
+   minimization walk showed it is / is not implied by those literals. *)
+let mark_none = '\000'
+let mark_source = '\001'
+let mark_removable = '\002'
+let mark_failed = '\003'
 
-let dummy_bin_watcher = { implied = dummy_lit; bin_cref = dummy_clause }
+let lit_stack () = { lits_a = Array.make 16 dummy_lit; lits_n = 0 }
+let int_stack () = { ints_a = Array.make 16 0; ints_n = 0 }
+
+let push_lit s x =
+  let n = s.lits_n in
+  if n = Array.length s.lits_a then begin
+    let a = Array.make (2 * n) dummy_lit in
+    Array.blit s.lits_a 0 a 0 n;
+    s.lits_a <- a
+  end;
+  Array.unsafe_set s.lits_a n x;
+  s.lits_n <- n + 1
+
+let push_int s x =
+  let n = s.ints_n in
+  if n = Array.length s.ints_a then begin
+    let a = Array.make (2 * n) 0 in
+    Array.blit s.ints_a 0 a 0 n;
+    s.ints_a <- a
+  end;
+  Array.unsafe_set s.ints_a n x;
+  s.ints_n <- n + 1
+
+let no_watches () = { w_cls = [||]; w_lit = [||]; w_n = 0 }
+
+let watch (ws : watches) c l =
+  let n = ws.w_n in
+  if n = Array.length ws.w_cls then begin
+    let cap = max 4 (2 * n) in
+    let cls = Array.make cap dummy_clause in
+    Array.blit ws.w_cls 0 cls 0 n;
+    let lit = Array.make cap dummy_lit in
+    Array.blit ws.w_lit 0 lit 0 n;
+    ws.w_cls <- cls;
+    ws.w_lit <- lit
+  end;
+  Array.unsafe_set ws.w_cls n c;
+  Array.unsafe_set ws.w_lit n l;
+  ws.w_n <- n + 1
 
 let var_decay = 1.0 /. 0.95
 let clause_decay = 1.0 /. 0.999
@@ -282,25 +348,29 @@ let sanitize_default =
     | Some _ | None -> false)
 
 let create ?sanitize () =
+  let activity = Array.make 16 0.0 in
   let solver =
     {
       clauses = Vec.create ~dummy:dummy_clause;
       learnts = Vec.create ~dummy:dummy_clause;
       assigns = Array.make 16 (-1);
       level = Array.make 16 (-1);
-      reason = Array.make 16 None;
-      watches = Array.init 32 (fun _ -> Vec.create ~dummy:dummy_watcher);
-      bin_watches =
-        Array.init 32 (fun _ -> Vec.create ~dummy:dummy_bin_watcher);
-      trail = Vec.create ~dummy:dummy_lit;
-      trail_lim = Vec.create ~dummy:0;
+      reason = Array.make 16 dummy_clause;
+      watches = Array.init 32 (fun _ -> no_watches ());
+      bin_watches = Array.init 32 (fun _ -> no_watches ());
+      trail = lit_stack ();
+      trail_lim = int_stack ();
       qhead = 0;
-      activity = Array.make 16 0.0;
+      activity;
       polarity = Array.make 16 false;
-      order = ref (Heap.create (fun _ _ -> false));
+      order = Heap.create activity;
       var_inc = 1.0;
       cla_inc = 1.0;
-      seen = Array.make 16 false;
+      seen = Bytes.make 16 mark_none;
+      an_learnt = lit_stack ();
+      an_toclear = int_stack ();
+      an_stack = lit_stack ();
+      an_index = int_stack ();
       lbd_stamp = Array.make 17 0;
       lbd_gen = 0;
       nvars = 0;
@@ -339,10 +409,6 @@ let create ?sanitize () =
         };
     }
   in
-  (* The heap ordering must read the *current* activity array, which is
-     replaced on growth; hence it goes through the record field. *)
-  solver.order :=
-    Heap.create (fun x y -> solver.activity.(x) > solver.activity.(y));
   Obs.Metrics.incr m_created;
   solver
 
@@ -352,37 +418,30 @@ let ensure_var_capacity t n =
   let cap = Array.length t.assigns in
   if n > cap then begin
     let cap' = max n (2 * cap) in
-    let grow_int a fill =
+    let grow a fill =
       let a' = Array.make cap' fill in
       Array.blit a 0 a' 0 cap;
       a'
     in
-    t.assigns <- grow_int t.assigns (-1);
-    t.level <- grow_int t.level (-1);
-    let reason' = Array.make cap' None in
-    Array.blit t.reason 0 reason' 0 cap;
-    t.reason <- reason';
-    let act' = Array.make cap' 0.0 in
-    Array.blit t.activity 0 act' 0 cap;
-    t.activity <- act';
-    let pol' = Array.make cap' false in
-    Array.blit t.polarity 0 pol' 0 cap;
-    t.polarity <- pol';
-    let seen' = Array.make cap' false in
-    Array.blit t.seen 0 seen' 0 cap;
+    t.assigns <- grow t.assigns (-1);
+    t.level <- grow t.level (-1);
+    t.reason <- grow t.reason dummy_clause;
+    t.activity <- grow t.activity 0.0;
+    Heap.set_priorities t.order t.activity;
+    t.polarity <- grow t.polarity false;
+    let seen' = Bytes.make cap' mark_none in
+    Bytes.blit t.seen 0 seen' 0 cap;
     t.seen <- seen';
     (* One decision level per variable at most, hence cap' + 1 slots. *)
     let stamp' = Array.make (cap' + 1) 0 in
     Array.blit t.lbd_stamp 0 stamp' 0 (Array.length t.lbd_stamp);
     t.lbd_stamp <- stamp';
-    let w' = Array.init (2 * cap') (fun _ -> Vec.create ~dummy:dummy_watcher) in
-    Array.blit t.watches 0 w' 0 (2 * cap);
-    t.watches <- w';
-    let bw' =
-      Array.init (2 * cap') (fun _ -> Vec.create ~dummy:dummy_bin_watcher)
+    let grow_watches ws =
+      Array.init (2 * cap') (fun i ->
+          if i < 2 * cap then ws.(i) else no_watches ())
     in
-    Array.blit t.bin_watches 0 bw' 0 (2 * cap);
-    t.bin_watches <- bw'
+    t.watches <- grow_watches t.watches;
+    t.bin_watches <- grow_watches t.bin_watches
   end
 
 let new_var t =
@@ -390,7 +449,7 @@ let new_var t =
   ensure_var_capacity t (v + 1);
   t.nvars <- v + 1;
   t.stats.max_vars <- t.nvars;
-  Heap.insert !(t.order) v;
+  Heap.insert t.order v;
   v
 
 (* Value of a literal: -1 undef, 0 false, 1 true. *)
@@ -398,14 +457,14 @@ let value_lit t l =
   let v = t.assigns.(Lit.var l) in
   if v < 0 then -1 else v lxor ((l :> int) land 1)
 
-
-let decision_level t = Vec.size t.trail_lim
+let decision_level t = t.trail_lim.ints_n
 
 let enqueue t l reason =
-  t.assigns.(Lit.var l) <- (if Lit.sign l then 1 else 0);
-  t.level.(Lit.var l) <- decision_level t;
-  t.reason.(Lit.var l) <- reason;
-  Vec.push t.trail l
+  let v = Lit.var l in
+  t.assigns.(v) <- (if Lit.sign l then 1 else 0);
+  t.level.(v) <- t.trail_lim.ints_n;
+  t.reason.(v) <- reason;
+  push_lit t.trail l
 
 (* Literal-block distance of a (fully assigned) set of literals: the
    number of distinct non-root decision levels it spans.  Uses a
@@ -414,23 +473,26 @@ let compute_lbd t (lits : Lit.t array) =
   t.lbd_gen <- t.lbd_gen + 1;
   let g = t.lbd_gen in
   let n = ref 0 in
-  Array.iter
-    (fun l ->
-      let lv = t.level.(Lit.var l) in
-      if lv > 0 && t.lbd_stamp.(lv) <> g then begin
-        t.lbd_stamp.(lv) <- g;
-        incr n
-      end)
-    lits;
+  for i = 0 to Array.length lits - 1 do
+    let lv = t.level.(Lit.var lits.(i)) in
+    if lv > 0 && t.lbd_stamp.(lv) <> g then begin
+      t.lbd_stamp.(lv) <- g;
+      incr n
+    end
+  done;
   !n
 
-(* Unit propagation.  Returns the conflicting clause if a conflict was
-   found.  Binary clauses propagate straight off their implication lists;
-   longer clauses go through blocker-guarded two-watched-literal lists. *)
+(* Unit propagation.  Returns the conflicting clause, or [dummy_clause]
+   when there is none.  Binary clauses propagate straight off their
+   implication lists; longer clauses go through blocker-guarded
+   two-watched-literal lists.  The [unsafe] accesses index a list below
+   its [w_n], the trail below its size, or a per-variable array with the
+   variable of a literal the solver created. *)
 let propagate t =
-  let conflict = ref None in
-  while !conflict = None && (not t.stop) && t.qhead < Vec.size t.trail do
-    let p = Vec.get t.trail t.qhead in
+  let confl = ref dummy_clause in
+  let assigns = t.assigns in
+  while !confl == dummy_clause && (not t.stop) && t.qhead < t.trail.lits_n do
+    let p = Array.unsafe_get t.trail.lits_a t.qhead in
     t.qhead <- t.qhead + 1;
     t.stats.propagations <- t.stats.propagations + 1;
     t.prop_countdown <- t.prop_countdown - 1;
@@ -445,38 +507,39 @@ let propagate t =
     let false_lit = Lit.neg p in
     (* Binary implication lists: no clause memory touched, no watch
        relocation ever needed. *)
-    let bws = t.bin_watches.((false_lit :> int)) in
-    let nb = Vec.size bws in
+    let bws = Array.unsafe_get t.bin_watches (false_lit :> int) in
+    let nb = bws.w_n in
     let bi = ref 0 in
-    while !conflict = None && !bi < nb do
-      let bw = Vec.unsafe_get bws !bi in
-      incr bi;
-      match value_lit t bw.implied with
-      | -1 -> enqueue t bw.implied (Some bw.bin_cref)
-      | 0 -> conflict := Some bw.bin_cref
-      | _ -> ()
+    while !confl == dummy_clause && !bi < nb do
+      let implied = Array.unsafe_get bws.w_lit !bi in
+      let a = Array.unsafe_get assigns (Lit.var implied) in
+      if a < 0 then enqueue t implied (Array.unsafe_get bws.w_cls !bi)
+      else if a lxor ((implied :> int) land 1) = 0 then
+        confl := Array.unsafe_get bws.w_cls !bi;
+      incr bi
     done;
-    if !conflict = None then begin
-      let ws = t.watches.((false_lit :> int)) in
-      let n = Vec.size ws in
+    if !confl == dummy_clause then begin
+      let ws = Array.unsafe_get t.watches (false_lit :> int) in
+      let cls = ws.w_cls and blk = ws.w_lit and n = ws.w_n in
       let j = ref 0 in
-      let i = ref 0 in
-      while !i < n do
-        let w = Vec.unsafe_get ws !i in
-        incr i;
-        if w.cref.removed then () (* drop lazily *)
-        else if !conflict <> None then begin
-          (* conflict found: keep the remaining watchers *)
-          Vec.unsafe_set ws !j w;
+      for i = 0 to n - 1 do
+        let b = Array.unsafe_get blk i in
+        let ab = Array.unsafe_get assigns (Lit.var b) in
+        if
+          !confl != dummy_clause
+          || (ab >= 0 && ab lxor ((b :> int) land 1) = 1)
+        then begin
+          (* Satisfied via the blocker, clause memory never loaded; or a
+             conflict was found, and the remaining watchers stay. *)
+          if !j <> i then begin
+            Array.unsafe_set cls !j (Array.unsafe_get cls i);
+            Array.unsafe_set blk !j b
+          end;
           incr j
         end
-        else if value_lit t w.blocker = 1 then begin
-          (* Satisfied via the blocker: clause memory never loaded. *)
-          Vec.unsafe_set ws !j w;
-          incr j
-        end
+        else if (Array.unsafe_get cls i).removed then () (* dropped lazily *)
         else begin
-          let c = w.cref in
+          let c = Array.unsafe_get cls i in
           (* Make sure the false literal is at position 1. *)
           let lits = c.lits in
           if Lit.equal (Array.unsafe_get lits 0) false_lit then begin
@@ -484,11 +547,12 @@ let propagate t =
             Array.unsafe_set lits 1 false_lit
           end;
           let first = Array.unsafe_get lits 0 in
-          if value_lit t first = 1 then begin
+          let vf = value_lit t first in
+          if vf = 1 then begin
             (* Clause already satisfied: keep the watch, remember the
                satisfying literal as the new blocker. *)
-            w.blocker <- first;
-            Vec.unsafe_set ws !j w;
+            if !j <> i then Array.unsafe_set cls !j c;
+            Array.unsafe_set blk !j first;
             incr j
           end
           else begin
@@ -499,26 +563,32 @@ let propagate t =
               incr k
             done;
             if !k < len then begin
-              (* Relocate the watch (reusing the watcher record). *)
+              (* Relocate the watch; it leaves this list. *)
               Array.unsafe_set lits 1 (Array.unsafe_get lits !k);
               Array.unsafe_set lits !k false_lit;
-              w.blocker <- first;
-              Vec.push t.watches.(((Array.unsafe_get lits 1) :> int)) w
+              watch
+                (Array.unsafe_get t.watches (Array.unsafe_get lits 1 :> int))
+                c first
             end
             else begin
               (* Clause is unit or conflicting. *)
-              Vec.unsafe_set ws !j w;
+              if !j <> i then begin
+                Array.unsafe_set cls !j c;
+                Array.unsafe_set blk !j b
+              end;
               incr j;
-              if value_lit t first = 0 then conflict := Some c
-              else enqueue t first (Some c)
+              if vf = 0 then confl := c else enqueue t first c
             end
           end
         end
       done;
-      Vec.shrink ws !j
+      if !j < n then begin
+        Array.fill cls !j (n - !j) dummy_clause;
+        ws.w_n <- !j
+      end
     end
   done;
-  !conflict
+  !confl
 
 let var_bump t v =
   t.activity.(v) <- t.activity.(v) +. t.var_inc;
@@ -528,7 +598,7 @@ let var_bump t v =
     done;
     t.var_inc <- t.var_inc *. 1e-100
   end;
-  Heap.update !(t.order) v
+  Heap.update t.order v
 
 let var_decay_activity t = t.var_inc <- t.var_inc *. var_decay
 
@@ -543,31 +613,106 @@ let clause_decay_activity t = t.cla_inc <- t.cla_inc *. clause_decay
 
 let cancel_until t lvl =
   if decision_level t > lvl then begin
-    let bound = Vec.get t.trail_lim lvl in
-    for i = Vec.size t.trail - 1 downto bound do
-      let l = Vec.get t.trail i in
+    let bound = t.trail_lim.ints_a.(lvl) in
+    for i = t.trail.lits_n - 1 downto bound do
+      let l = t.trail.lits_a.(i) in
       let v = Lit.var l in
       t.assigns.(v) <- -1;
-      t.reason.(v) <- None;
       t.polarity.(v) <- Lit.sign l;
-      if not (Heap.mem !(t.order) v) then Heap.insert !(t.order) v
+      if not (Heap.mem t.order v) then Heap.insert t.order v
     done;
-    Vec.shrink t.trail bound;
-    Vec.shrink t.trail_lim lvl;
-    t.qhead <- Vec.size t.trail
+    t.trail.lits_n <- bound;
+    t.trail_lim.ints_n <- lvl;
+    t.qhead <- bound
   end
 
-(* First-UIP conflict analysis with recursive clause minimization
-   (MiniSat ccmin=2).  Returns the learnt clause (asserting literal
-   first), the backjump level, and the clause's LBD (computed before
-   backjumping, while all its literals are still assigned). *)
+let set_mark t v m =
+  Bytes.unsafe_set t.seen v m;
+  push_int t.an_toclear v
+
+let abstract_level t v = 1 lsl (t.level.(v) land 31)
+
+(* Recursive redundancy test (MiniSat ccmin=2) for [p], a literal of the
+   clause being learnt: [p] is redundant when every path back from its
+   reason bottoms out in clause literals, nodes already shown removable,
+   or level-0 facts.  A depth-first walk over an explicit stack of
+   (node, next reason index) frames.  A node is marked removable once its
+   whole reason checks out, so later walks skip it.  When a walk hits a
+   decision, an implied literal outside the clause's abstract levels, or
+   a failed node, every node on its current path is marked failed: such a
+   node stays non-redundant for the rest of this analysis, because walks
+   only ever mark nodes removable whose reasons check out. *)
+let lit_redundant t p abstract_levels =
+  let r = t.reason.(Lit.var p) in
+  if r == dummy_clause then false
+  else begin
+    let stack = t.an_stack and index = t.an_index in
+    stack.lits_n <- 0;
+    index.ints_n <- 0;
+    let node = ref p and c = ref r and i = ref 0 in
+    let result = ref true and walking = ref true in
+    while !walking do
+      let lits = !c.lits in
+      if !i < Array.length lits then begin
+        let l = lits.(!i) in
+        incr i;
+        let v = Lit.var l in
+        let m = Bytes.unsafe_get t.seen v in
+        if
+          v = Lit.var !node || t.level.(v) = 0 || m = mark_source
+          || m = mark_removable
+        then ()
+        else if
+          m = mark_failed
+          || t.reason.(v) == dummy_clause
+          || abstract_level t v land abstract_levels = 0
+        then begin
+          if Bytes.unsafe_get t.seen (Lit.var !node) = mark_none then
+            set_mark t (Lit.var !node) mark_failed;
+          for k = 0 to stack.lits_n - 1 do
+            let u = Lit.var stack.lits_a.(k) in
+            if Bytes.unsafe_get t.seen u = mark_none then set_mark t u mark_failed
+          done;
+          result := false;
+          walking := false
+        end
+        else begin
+          push_lit stack !node;
+          push_int index !i;
+          node := l;
+          c := t.reason.(v);
+          i := 0
+        end
+      end
+      else begin
+        let v = Lit.var !node in
+        if Bytes.unsafe_get t.seen v = mark_none then set_mark t v mark_removable;
+        if stack.lits_n = 0 then walking := false
+        else begin
+          stack.lits_n <- stack.lits_n - 1;
+          index.ints_n <- index.ints_n - 1;
+          node := stack.lits_a.(stack.lits_n);
+          i := index.ints_a.(index.ints_n);
+          c := t.reason.(Lit.var !node)
+        end
+      end
+    done;
+    !result
+  end
+
+(* First-UIP conflict analysis with recursive clause minimization.
+   Returns the learnt clause (asserting literal first, a literal of the
+   backjump level second), the backjump level, and the clause's LBD
+   (computed before backjumping, while all its literals are still
+   assigned). *)
 let analyze t confl =
-  let learnt = ref [] in
+  let learnt = t.an_learnt in
+  learnt.lits_n <- 0;
   let pathc = ref 0 in
-  let index = ref (Vec.size t.trail - 1) in
-  let p = ref None in
+  let index = ref (t.trail.lits_n - 1) in
+  let p = ref dummy_lit in
+  let skip_var = ref (-1) in
   let c = ref confl in
-  let seen_vars = ref [] in
   let dl = decision_level t in
   let continue = ref true in
   while !continue do
@@ -584,106 +729,68 @@ let analyze t confl =
     (* Skip the implied literal when expanding a reason.  Binary reasons
        do not maintain the implied-literal-first invariant, so the skip is
        by variable rather than by position. *)
-    let skip_var = match !p with None -> -1 | Some pl -> Lit.var pl in
-    Array.iter
-      (fun q ->
-        let v = Lit.var q in
-        if v <> skip_var && (not t.seen.(v)) && t.level.(v) > 0 then begin
-          t.seen.(v) <- true;
-          seen_vars := v :: !seen_vars;
-          var_bump t v;
-          if t.level.(v) >= dl then incr pathc
-          else learnt := q :: !learnt
-        end)
-      cl.lits;
-    (* Find the next seen literal on the trail. *)
-    while not t.seen.(Lit.var (Vec.get t.trail !index)) do
+    let lits = cl.lits in
+    for k = 0 to Array.length lits - 1 do
+      let q = lits.(k) in
+      let v = Lit.var q in
+      if
+        v <> !skip_var
+        && Bytes.unsafe_get t.seen v = mark_none
+        && t.level.(v) > 0
+      then begin
+        set_mark t v mark_source;
+        var_bump t v;
+        if t.level.(v) >= dl then incr pathc else push_lit learnt q
+      end
+    done;
+    (* Find the next marked literal on the trail. *)
+    while
+      Bytes.unsafe_get t.seen (Lit.var t.trail.lits_a.(!index)) = mark_none
+    do
       decr index
     done;
-    let pl = Vec.get t.trail !index in
+    let pl = t.trail.lits_a.(!index) in
     decr index;
-    t.seen.(Lit.var pl) <- false;
+    Bytes.unsafe_set t.seen (Lit.var pl) mark_none;
     decr pathc;
-    if !pathc = 0 then begin
-      p := Some pl;
-      continue := false
-    end
-    else begin
-      p := Some pl;
-      match t.reason.(Lit.var pl) with
-      | Some r -> c := r
-      | None ->
-        (* A decision variable other than the UIP cannot be reached with
-           pathc > 0. *)
-        assert false
+    p := pl;
+    skip_var := Lit.var pl;
+    if !pathc = 0 then continue := false
+    else
+      (* A decision variable other than the UIP cannot be reached with
+         pathc > 0, so this is a real reason. *)
+      c := t.reason.(Lit.var pl)
+  done;
+  let uip = Lit.neg !p in
+  (* Minimize, latest-discovered literal first, compacting the kept ones
+     towards the top of [learnt] in their discovery order. *)
+  let n = learnt.lits_n in
+  let abstract_levels = ref 0 in
+  for k = 0 to n - 1 do
+    abstract_levels :=
+      !abstract_levels lor abstract_level t (Lit.var learnt.lits_a.(k))
+  done;
+  let top = ref n in
+  for k = n - 1 downto 0 do
+    let q = learnt.lits_a.(k) in
+    if not (lit_redundant t q !abstract_levels) then begin
+      decr top;
+      learnt.lits_a.(!top) <- q
     end
   done;
-  (* Recursive clause minimization: a literal is redundant when every path
-     from its reason bottoms out in literals already in the clause (seen)
-     or fixed at level 0.  The abstract-level filter prunes walks that
-     could only fail; the explicit stack replaces MiniSat's recursion. *)
-  let abstract_level v = 1 lsl (t.level.(v) land 31) in
-  let abstract_levels =
-    List.fold_left
-      (fun acc q -> acc lor abstract_level (Lit.var q))
-      0 !learnt
-  in
-  let to_clear = ref [] in
-  let lit_redundant q =
-    match t.reason.(Lit.var q) with
-    | None -> false
-    | Some _ ->
-      let stack = ref [ q ] in
-      let marked_here = ref [] in
-      let failed = ref false in
-      while (not !failed) && !stack <> [] do
-        let pl = List.hd !stack in
-        stack := List.tl !stack;
-        let r =
-          match t.reason.(Lit.var pl) with
-          | Some r -> r
-          | None -> assert false (* only literals with reasons are pushed *)
-        in
-        let rl = r.lits in
-        let len = Array.length rl in
-        let idx = ref 0 in
-        while (not !failed) && !idx < len do
-          let l = rl.(!idx) in
-          incr idx;
-          let v = Lit.var l in
-          if v <> Lit.var pl && (not t.seen.(v)) && t.level.(v) > 0 then begin
-            if
-              t.reason.(v) <> None
-              && abstract_level v land abstract_levels <> 0
-            then begin
-              t.seen.(v) <- true;
-              marked_here := v :: !marked_here;
-              to_clear := v :: !to_clear;
-              stack := l :: !stack
-            end
-            else failed := true
-          end
-        done
-      done;
-      if !failed then
-        (* Undo only this walk's marks; marks from successful walks stay
-           and speed up later redundancy checks. *)
-        List.iter (fun v -> t.seen.(v) <- false) !marked_here;
-      not !failed
-  in
-  let learnt = List.filter (fun q -> not (lit_redundant q)) !learnt in
-  let btlevel =
-    List.fold_left (fun acc q -> max acc t.level.(Lit.var q)) 0 learnt
-  in
-  let uip =
-    match !p with
-    | Some pl -> Lit.neg pl
-    | None -> assert false
-  in
-  let lits = Array.of_list (uip :: learnt) in
+  let lits = Array.make (1 + n - !top) uip in
+  let btlevel = ref 0 in
+  for i = 1 to n - !top do
+    let q = learnt.lits_a.(n - i) in
+    lits.(i) <- q;
+    if t.level.(Lit.var q) > !btlevel then btlevel := t.level.(Lit.var q)
+  done;
   let lbd = compute_lbd t lits in
-  List.iter (fun v -> t.seen.(v) <- false) !seen_vars;
-  List.iter (fun v -> t.seen.(v) <- false) !to_clear;
+  let toclear = t.an_toclear in
+  for k = 0 to toclear.ints_n - 1 do
+    Bytes.unsafe_set t.seen toclear.ints_a.(k) mark_none
+  done;
+  toclear.ints_n <- 0;
   (* Put a literal of the backjump level at position 1 so the watches are
      valid after backjumping. *)
   if Array.length lits > 1 then begin
@@ -696,20 +803,17 @@ let analyze t confl =
     lits.(1) <- lits.(!max_i);
     lits.(!max_i) <- tmp
   end;
-  (lits, btlevel, lbd)
+  (lits, !btlevel, lbd)
 
 let attach t c =
+  let a = c.lits.(0) and b = c.lits.(1) in
   if Array.length c.lits = 2 then begin
-    Vec.push
-      t.bin_watches.((c.lits.(0) :> int))
-      { implied = c.lits.(1); bin_cref = c };
-    Vec.push
-      t.bin_watches.((c.lits.(1) :> int))
-      { implied = c.lits.(0); bin_cref = c }
+    watch t.bin_watches.((a :> int)) c b;
+    watch t.bin_watches.((b :> int)) c a
   end
   else begin
-    Vec.push t.watches.((c.lits.(0) :> int)) { cref = c; blocker = c.lits.(1) };
-    Vec.push t.watches.((c.lits.(1) :> int)) { cref = c; blocker = c.lits.(0) }
+    watch t.watches.((a :> int)) c b;
+    watch t.watches.((b :> int)) c a
   end
 
 (* ------------------------------------------------------------------ *)
@@ -722,30 +826,40 @@ let attach t c =
 let fail_sanitize fmt =
   Printf.ksprintf (fun msg -> raise (Sanitizer_violation msg)) fmt
 
+(* Is [c] in the first [w_n] slots of [ws], paired with literal [l]
+   (any literal when [l] is [None])? *)
+let watched_in (ws : watches) c l =
+  let rec go i =
+    i < ws.w_n
+    && ((ws.w_cls.(i) == c
+        && match l with None -> true | Some l -> Lit.equal ws.w_lit.(i) l)
+       || go (i + 1))
+  in
+  go 0
+
 let sanitize_check t =
   let n_lits = 2 * t.nvars in
   (* Trail, assignment and level consistency. *)
-  let n_trail = Vec.size t.trail in
+  let n_trail = t.trail.lits_n in
   if t.qhead > n_trail then fail_sanitize "qhead %d beyond trail %d" t.qhead n_trail;
-  let n_lims = Vec.size t.trail_lim in
+  let n_lims = t.trail_lim.ints_n in
   for d = 0 to n_lims - 1 do
-    let b = Vec.get t.trail_lim d in
+    let b = t.trail_lim.ints_a.(d) in
     if b < 0 || b > n_trail then fail_sanitize "trail_lim %d out of range" b;
-    if d > 0 && b < Vec.get t.trail_lim (d - 1) then
+    if d > 0 && b < t.trail_lim.ints_a.(d - 1) then
       fail_sanitize "trail_lim not monotone"
   done;
   let seg = ref 0 in
   for i = 0 to n_trail - 1 do
-    let l = Vec.get t.trail i in
+    let l = t.trail.lits_a.(i) in
     let v = Lit.var l in
-    while !seg < n_lims && Vec.get t.trail_lim !seg <= i do incr seg done;
+    while !seg < n_lims && t.trail_lim.ints_a.(!seg) <= i do incr seg done;
     if value_lit t l <> 1 then
       fail_sanitize "trail literal %d not assigned true" (Lit.to_int l);
     if t.level.(v) <> !seg then
       fail_sanitize "trail var %d has level %d, expected %d" v t.level.(v) !seg;
-    match t.reason.(v) with
-    | None -> ()
-    | Some c ->
+    let c = t.reason.(v) in
+    if c != dummy_clause then begin
       if c.removed then fail_sanitize "reason clause of var %d is removed" v;
       if not (Array.exists (Lit.equal l) c.lits) then
         fail_sanitize "reason clause of var %d misses its literal" v;
@@ -754,77 +868,75 @@ let sanitize_check t =
           if (not (Lit.equal q l)) && value_lit t q <> 0 then
             fail_sanitize "reason clause of var %d not falsified elsewhere" v)
         c.lits
+    end
   done;
   let assigned = ref 0 in
   for v = 0 to t.nvars - 1 do
-    if t.assigns.(v) >= 0 then incr assigned
+    if t.assigns.(v) >= 0 then incr assigned;
+    if Bytes.get t.seen v <> mark_none then
+      fail_sanitize "analysis mark of var %d left set" v
   done;
   if !assigned <> n_trail then
     fail_sanitize "%d assigned vars but trail holds %d" !assigned n_trail;
   (* VSIDS order: internal heap consistency, and every unassigned variable
      must be decidable (member of the heap). *)
-  (try Heap.check_exn !(t.order)
+  (try Heap.check_exn t.order
    with Failure msg -> fail_sanitize "%s" msg);
   for v = 0 to t.nvars - 1 do
-    if t.assigns.(v) < 0 && not (Heap.mem !(t.order) v) then
+    if t.assigns.(v) < 0 && not (Heap.mem t.order v) then
       fail_sanitize "unassigned var %d missing from VSIDS heap" v
   done;
   (* Watcher coherence: every live watcher sits on one of the clause's
-     first two literals and carries a blocker from the clause. *)
-  for i = 0 to n_lits - 1 do
-    let key = i in
-    Vec.iter
-      (fun (w : watcher) ->
-        if not w.cref.removed then begin
-          let lits = w.cref.lits in
-          if Array.length lits < 3 then
-            fail_sanitize "short clause in long-clause watch list %d" key;
-          if
-            not
-              (Lit.to_int lits.(0) = key || Lit.to_int lits.(1) = key)
-          then fail_sanitize "watcher at %d not on a watched literal" key;
-          if not (Array.exists (Lit.equal w.blocker) lits) then
-            fail_sanitize "blocker at %d not a literal of its clause" key
-        end)
-      t.watches.(i);
-    Vec.iter
-      (fun (bw : bin_watcher) ->
-        if not bw.bin_cref.removed then begin
-          let lits = bw.bin_cref.lits in
-          if Array.length lits <> 2 then
-            fail_sanitize "non-binary clause in binary list %d" key;
-          let a = Lit.to_int lits.(0) and b = Lit.to_int lits.(1) in
-          let o = Lit.to_int bw.implied in
-          if not ((a = key && b = o) || (b = key && a = o)) then
-            fail_sanitize "binary watcher at %d disagrees with its clause" key
-        end)
-      t.bin_watches.(i)
+     first two literals and carries a blocker from the clause; every
+     binary watcher implies the other literal of its clause. *)
+  for key = 0 to n_lits - 1 do
+    let ws = t.watches.(key) in
+    for i = 0 to ws.w_n - 1 do
+      let c = ws.w_cls.(i) in
+      if not c.removed then begin
+        let lits = c.lits in
+        if Array.length lits < 3 then
+          fail_sanitize "short clause in long-clause watch list %d" key;
+        if not (Lit.to_int lits.(0) = key || Lit.to_int lits.(1) = key) then
+          fail_sanitize "watcher at %d not on a watched literal" key;
+        if not (Array.exists (Lit.equal ws.w_lit.(i)) lits) then
+          fail_sanitize "blocker at %d not a literal of its clause" key
+      end
+    done;
+    let bws = t.bin_watches.(key) in
+    for i = 0 to bws.w_n - 1 do
+      let c = bws.w_cls.(i) in
+      if not c.removed then begin
+        let lits = c.lits in
+        if Array.length lits <> 2 then
+          fail_sanitize "non-binary clause in binary list %d" key;
+        let a = Lit.to_int lits.(0) and b = Lit.to_int lits.(1) in
+        let o = Lit.to_int bws.w_lit.(i) in
+        if not ((a = key && b = o) || (b = key && a = o)) then
+          fail_sanitize "binary watcher at %d disagrees with its clause" key
+      end
+    done
   done;
   (* Attachment: every live clause is present in the lists it must be
-     watched from (binary lists are symmetric by this check applied to
-     both literals). *)
+     watched from; a binary clause in both literals' lists, each entry
+     implying the other literal (symmetry). *)
   let check_attached (c : clause) =
     if not c.removed then begin
       let len = Array.length c.lits in
       if len < 2 then fail_sanitize "attached clause of length %d" len;
+      let a = c.lits.(0) and b = c.lits.(1) in
       if len = 2 then begin
-        let present this other =
-          Vec.exists
-            (fun (bw : bin_watcher) ->
-              bw.bin_cref == c && Lit.equal bw.implied other)
-            t.bin_watches.(Lit.to_int this)
-        in
-        if not (present c.lits.(0) c.lits.(1) && present c.lits.(1) c.lits.(0))
+        if
+          not
+            (watched_in t.bin_watches.(Lit.to_int a) c (Some b)
+            && watched_in t.bin_watches.(Lit.to_int b) c (Some a))
         then fail_sanitize "binary clause not symmetrically attached"
       end
-      else begin
-        let present this =
-          Vec.exists (fun (w : watcher) -> w.cref == c)
-            t.watches.(Lit.to_int this)
-        in
-        if not (present c.lits.(0) && present c.lits.(1)) then
-          fail_sanitize "clause not attached at its first two literals"
-      end
+      else if
+        not
+          (watched_in t.watches.(Lit.to_int a) c None
+          && watched_in t.watches.(Lit.to_int b) c None)
+      then fail_sanitize "clause not attached at its first two literals"
     end
   in
   Vec.iter check_attached t.clauses;
@@ -848,15 +960,22 @@ let record_learnt t lits lbd =
   let lbd = max 1 lbd in
   t.stats.learnt_lbd_sum <- t.stats.learnt_lbd_sum + lbd;
   if lbd <= 2 then t.stats.glue_clauses <- t.stats.glue_clauses + 1;
-  if Array.length lits = 1 then enqueue t lits.(0) None
+  if Array.length lits = 1 then enqueue t lits.(0) dummy_clause
   else begin
     let c = { lits; cla_act = 0.0; lbd; learnt = true; removed = false } in
     attach t c;
     Vec.push t.learnts c;
     clause_bump t c;
     t.stats.learnts_literals <- t.stats.learnts_literals + Array.length lits;
-    enqueue t lits.(0) (Some c)
+    enqueue t lits.(0) c
   end
+
+(* Sorted by the packed representation, the two literals of a variable
+   are adjacent. *)
+let rec has_complementary_pair = function
+  | a :: (b :: _ as rest) ->
+    Lit.equal b (Lit.neg a) || has_complementary_pair rest
+  | [] | [ _ ] -> false
 
 (* Add a problem clause.  Only legal at decision level 0 (the MaxSAT driver
    always backtracks before adding constraints). *)
@@ -872,9 +991,7 @@ let add_clause t (lits : Lit.t list) =
     (* Simplify: drop duplicates and false literals; detect tautologies and
        satisfied clauses. *)
     let sorted = List.sort_uniq Lit.compare lits in
-    let tautology =
-      List.exists (fun l -> List.exists (Lit.equal (Lit.neg l)) sorted) sorted
-    in
+    let tautology = has_complementary_pair sorted in
     let satisfied = List.exists (fun l -> value_lit t l = 1) sorted in
     if not (tautology || satisfied) then begin
       let remaining = List.filter (fun l -> value_lit t l <> 0) sorted in
@@ -883,8 +1000,8 @@ let add_clause t (lits : Lit.t list) =
         t.ok <- false;
         emit_refutation t
       | [ l ] ->
-        enqueue t l None;
-        if propagate t <> None then begin
+        enqueue t l dummy_clause;
+        if propagate t != dummy_clause then begin
           t.ok <- false;
           emit_refutation t
         end
@@ -905,10 +1022,8 @@ let add_clause t (lits : Lit.t list) =
 
 let locked t c =
   Array.length c.lits > 0
-  &&
-  let v = Lit.var c.lits.(0) in
-  value_lit t c.lits.(0) = 1
-  && match t.reason.(v) with Some r -> r == c | None -> false
+  && value_lit t c.lits.(0) = 1
+  && t.reason.(Lit.var c.lits.(0)) == c
 
 (* Glucose-style learnt-clause management: glue clauses (LBD <= 2),
    binary clauses, and locked clauses survive forever; the worst half of
@@ -963,8 +1078,8 @@ let import_clause t ((lits : Lit.t array), lbd) =
       t.ok <- false
     | 1 ->
       t.stats.imported_clauses <- t.stats.imported_clauses + 1;
-      enqueue t remaining.(0) None;
-      if propagate t <> None then t.ok <- false
+      enqueue t remaining.(0) dummy_clause;
+      if propagate t != dummy_clause then t.ok <- false
     | _ ->
       let c =
         {
@@ -1014,22 +1129,24 @@ exception Found_result of result
 let analyze_final t p =
   let core = ref [ p ] in
   if decision_level t > 0 then begin
-    t.seen.(Lit.var p) <- true;
-    let bottom = Vec.get t.trail_lim 0 in
-    for i = Vec.size t.trail - 1 downto bottom do
-      let l = Vec.get t.trail i in
+    Bytes.set t.seen (Lit.var p) mark_source;
+    let bottom = t.trail_lim.ints_a.(0) in
+    for i = t.trail.lits_n - 1 downto bottom do
+      let l = t.trail.lits_a.(i) in
       let v = Lit.var l in
-      if t.seen.(v) then begin
-        (match t.reason.(v) with
-        | None -> core := l :: !core
-        | Some c ->
+      if Bytes.get t.seen v <> mark_none then begin
+        let c = t.reason.(v) in
+        if c == dummy_clause then core := l :: !core
+        else
           Array.iter
-            (fun q -> if t.level.(Lit.var q) > 0 then t.seen.(Lit.var q) <- true)
-            c.lits);
-        t.seen.(v) <- false
+            (fun q ->
+              if t.level.(Lit.var q) > 0 then
+                Bytes.set t.seen (Lit.var q) mark_source)
+            c.lits;
+        Bytes.set t.seen v mark_none
       end
     done;
-    t.seen.(Lit.var p) <- false
+    Bytes.set t.seen (Lit.var p) mark_none
   end;
   List.sort_uniq Lit.compare !core
 
@@ -1043,7 +1160,7 @@ let probe_literal t l =
   else begin
     if Lit.var l >= t.nvars then invalid_arg "Solver.probe_literal";
     cancel_until t 0;
-    if propagate t <> None then begin
+    if propagate t != dummy_clause then begin
       t.ok <- false;
       emit_refutation t;
       None
@@ -1053,13 +1170,13 @@ let probe_literal t l =
       | 1 -> Some 0
       | 0 -> None
       | _ ->
-        let base = Vec.size t.trail in
-        Vec.push t.trail_lim (Vec.size t.trail);
-        enqueue t l None;
+        let base = t.trail.lits_n in
+        push_int t.trail_lim base;
+        enqueue t l dummy_clause;
         let confl = propagate t in
-        let delta = Vec.size t.trail - base in
+        let delta = t.trail.lits_n - base in
         cancel_until t 0;
-        if confl <> None then None else Some delta
+        if confl != dummy_clause then None else Some delta
   end
 
 let record_solve_totals t ~before ~elapsed =
@@ -1102,7 +1219,7 @@ let solve_with_core ?(assumptions = []) ?deadline t =
     let restarts = ref 0 in
     let result = ref Unknown in
     (try
-       if propagate t <> None then begin
+       if propagate t != dummy_clause then begin
          t.ok <- false;
          emit_refutation t;
          raise (Found_result Unsat)
@@ -1117,8 +1234,8 @@ let solve_with_core ?(assumptions = []) ?deadline t =
          let conflicts_here = ref 0 in
          let restart = ref false in
          while not !restart do
-           match propagate t with
-           | Some confl ->
+           let confl = propagate t in
+           if confl != dummy_clause then begin
              t.stats.conflicts <- t.stats.conflicts + 1;
              incr conflicts_here;
              if decision_level t = 0 then begin
@@ -1160,7 +1277,8 @@ let solve_with_core ?(assumptions = []) ?deadline t =
                do_imports t;
                if not t.ok then raise (Found_result Unsat)
              end
-           | None ->
+           end
+           else begin
              if t.stop then raise (Found_result Unknown);
              if t.stats.conflicts >= t.next_reduce then begin
                reduce_db t;
@@ -1174,20 +1292,20 @@ let solve_with_core ?(assumptions = []) ?deadline t =
                if Lit.var a >= t.nvars then
                  invalid_arg "Solver.solve: unknown assumption variable";
                match value_lit t a with
-               | 1 -> Vec.push t.trail_lim (Vec.size t.trail)
+               | 1 -> push_int t.trail_lim t.trail.lits_n
                | 0 ->
                  core := analyze_final t a;
                  raise (Found_result Unsat)
                | _ ->
-                 Vec.push t.trail_lim (Vec.size t.trail);
-                 enqueue t a None
+                 push_int t.trail_lim t.trail.lits_n;
+                 enqueue t a dummy_clause
              end
              else begin
                t.stats.decisions <- t.stats.decisions + 1;
                (* Pick an unassigned variable with maximal activity. *)
                let v = ref (-1) in
-               while !v < 0 && not (Heap.is_empty !(t.order)) do
-                 let cand = Heap.remove_min !(t.order) in
+               while !v < 0 && not (Heap.is_empty t.order) do
+                 let cand = Heap.remove_min t.order in
                  if t.assigns.(cand) < 0 then v := cand
                done;
                if !v < 0 then begin
@@ -1196,9 +1314,10 @@ let solve_with_core ?(assumptions = []) ?deadline t =
                  t.model <- Array.sub t.assigns 0 t.nvars;
                  raise (Found_result Sat)
                end;
-               Vec.push t.trail_lim (Vec.size t.trail);
-               enqueue t (Lit.of_var ~sign:t.polarity.(!v) !v) None
+               push_int t.trail_lim t.trail.lits_n;
+               enqueue t (Lit.of_var ~sign:t.polarity.(!v) !v) dummy_clause
              end
+           end
          done
        done
      with Found_result r -> result := r);

@@ -38,11 +38,6 @@ let get t i =
   if i < 0 || i >= t.size then invalid_arg "Vec.get";
   t.data.(i)
 
-(* Hot-path accessors: the solver's propagation loop maintains the bounds
-   invariants itself. *)
-let unsafe_get t i = Array.unsafe_get t.data i
-let unsafe_set t i x = Array.unsafe_set t.data i x
-
 let set t i x =
   if i < 0 || i >= t.size then invalid_arg "Vec.set";
   t.data.(i) <- x
@@ -75,10 +70,6 @@ let fold f acc t =
     acc := f !acc t.data.(i)
   done;
   !acc
-
-let exists p t =
-  let rec loop i = i < t.size && (p t.data.(i) || loop (i + 1)) in
-  loop 0
 
 let to_list t = List.rev (fold (fun acc x -> x :: acc) [] t)
 

@@ -12,11 +12,6 @@ val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a
 val get : 'a t -> int -> 'a
-
-val unsafe_get : 'a t -> int -> 'a
-(** No bounds check; for the solver's hot loops only. *)
-
-val unsafe_set : 'a t -> int -> 'a -> unit
 val set : 'a t -> int -> 'a -> unit
 val last : 'a t -> 'a
 val clear : 'a t -> unit
@@ -24,7 +19,6 @@ val shrink : 'a t -> int -> unit
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
-val exists : ('a -> bool) -> 'a t -> bool
 val to_list : 'a t -> 'a list
 val of_list : 'a list -> dummy:'a -> 'a t
 val filter_in_place : ('a -> bool) -> 'a t -> unit

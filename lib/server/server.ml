@@ -261,8 +261,18 @@ let handle_connection t fd =
       loop ()
   in
   loop ();
+  (* Leave [t.conns] before the descriptor is closed: [stop] shuts down
+     every descriptor it finds there, and once closed this number may
+     already belong to a newer socket. *)
+  RM.lock t.lock;
+  RC.set t.conns (List.filter (fun (fd', _) -> fd' <> fd) (RC.get t.conns));
+  RM.unlock t.lock;
+  (* Close the descriptor once, through [oc] (which shares it with [ic]),
+     under the writers' lock: a publisher arriving later gets [Sys_error]
+     from the closed channel instead of writing to a reused number. *)
+  RM.lock out_lock;
   close_out_noerr oc;
-  close_in_noerr ic
+  RM.unlock out_lock
 
 let accept_loop t =
   let rec go () =
@@ -272,10 +282,12 @@ let accept_loop t =
     | fd, _ ->
       if RA.get t.stopping then (Unix.close fd; go ())
       else begin
+        (* Register under the lock the handler must take to leave, so a
+           connection that closes at once cannot leave before it is in. *)
+        RM.lock t.lock;
         let thread =
           Race.Sync.Thread_.create (fun () -> handle_connection t fd) ()
         in
-        RM.lock t.lock;
         RC.set t.conns ((fd, thread) :: RC.get t.conns);
         RM.unlock t.lock;
         go ()
@@ -349,19 +361,20 @@ let stop t =
      with Unix.Unix_error _ -> ());
     Option.iter Race.Sync.Thread_.join t.acceptor;
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+    (* Half-close: handlers see EOF, finish their replies, exit.  Under
+       the lock, so no listed handler can close its descriptor first. *)
     let conns =
       RM.lock t.lock;
       let c = RC.get t.conns in
       RC.set t.conns [];
+      List.iter
+        (fun (fd, _) ->
+          try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
+          with Unix.Unix_error _ -> ())
+        c;
       RM.unlock t.lock;
       c
     in
-    (* Half-close: handlers see EOF, finish their replies, exit. *)
-    List.iter
-      (fun (fd, _) ->
-        try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
-        with Unix.Unix_error _ -> ())
-      conns;
     List.iter (fun (_, thread) -> Race.Sync.Thread_.join thread) conns;
     match t.bound with
     | Unix_path path -> (try Sys.remove path with Sys_error _ -> ())
@@ -384,6 +397,7 @@ let connect address =
      raise e);
   (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
 
-let disconnect (ic, oc) =
-  close_out_noerr oc;
-  close_in_noerr ic
+(* [ic] and [oc] share one descriptor: closing [oc] closes it.  Closing
+   [ic] as well would close the number a second time, by which point it
+   may name another socket of this process. *)
+let disconnect (_ic, oc) = close_out_noerr oc

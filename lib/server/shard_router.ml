@@ -141,11 +141,16 @@ let handle_client t fd =
       | None -> ()
       | Some (bic, boc, pump) ->
         Thread.join pump;
-        close_out_noerr boc;
-        close_in_noerr bic)
+        Server.disconnect (bic, boc))
     upstreams;
+  (* As in [Server]: leave [t.conns] first, then close the descriptor
+     once, through [oc]. *)
+  Mutex.lock t.lock;
+  t.conns <- List.filter (fun (fd', _) -> fd' <> fd) t.conns;
+  Mutex.unlock t.lock;
+  Mutex.lock out_lock;
   close_out_noerr oc;
-  close_in_noerr ic
+  Mutex.unlock out_lock
 
 let accept_loop t =
   let rec go () =
@@ -155,8 +160,8 @@ let accept_loop t =
     | fd, _ ->
       if t.stopping then (Unix.close fd; go ())
       else begin
-        let thread = Thread.create (fun () -> handle_client t fd) () in
         Mutex.lock t.lock;
+        let thread = Thread.create (fun () -> handle_client t fd) () in
         t.conns <- (fd, thread) :: t.conns;
         Mutex.unlock t.lock;
         go ()
@@ -223,14 +228,14 @@ let stop t =
       Mutex.lock t.lock;
       let c = t.conns in
       t.conns <- [];
+      List.iter
+        (fun (fd, _) ->
+          try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
+          with Unix.Unix_error _ -> ())
+        c;
       Mutex.unlock t.lock;
       c
     in
-    List.iter
-      (fun (fd, _) ->
-        try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
-        with Unix.Unix_error _ -> ())
-      conns;
     List.iter (fun (_, thread) -> Thread.join thread) conns;
     match t.bound with
     | Server.Unix_path path -> (try Sys.remove path with Sys_error _ -> ())

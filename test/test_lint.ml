@@ -482,9 +482,60 @@ let test_sanitizer_toggle () =
     "solves with sanitizer" Sat.Solver.Sat (Sat.Solver.solve s);
   Sat.Solver.sanitize_check s
 
+(* The sanitizer over the incremental session path, driven as a sliced
+   route on tokyo drives it: one persistent solver and one reused
+   skeleton serve every slice, each slice behind a fresh activation guard
+   while the earlier slices' guards stay retired in the clause database,
+   and each seam pinned to the previous slice's final map. *)
+let test_sanitizer_session_route () =
+  let device = Arch.Topologies.tokyo () in
+  let spec = Satmap.Encoding.spec device in
+  let n = 8 in
+  let gates =
+    List.init 40 (fun i ->
+        let a = (i * 5) mod n in
+        cx a ((a + 1 + (i * 3 mod (n - 1))) mod n))
+  in
+  let slices =
+    Quantum.Circuit.slice_by_two_qubit
+      (Quantum.Circuit.create ~n_qubits:n gates)
+      ~slice_size:10
+  in
+  Alcotest.(check bool) "several slices" true (List.length slices >= 3);
+  let session = Satmap.Encoding.Session.create () in
+  let seam = ref None and prepared = ref 0 in
+  (* A seam the slice cannot continue from is unsatisfiable; the router
+     would backtrack, here the slice is prepared again without the pin,
+     which retires one more guard. *)
+  let rec solve_slice i pin =
+    let act =
+      Satmap.Encoding.Session.prepare ?fixed_initial:pin session spec
+        (List.nth slices i)
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "slice %d reuses the skeleton" i)
+      (!prepared > 0) act.a_reused;
+    incr prepared;
+    let solver = act.a_solver in
+    Sat.Solver.set_sanitize solver true;
+    Sat.Solver.sanitize_check solver;
+    let descent =
+      Maxsat.Optimizer.attach ~assumptions:act.a_assumptions
+        ~bounds:act.a_bounds ~solver ~relax:act.a_relax ()
+    in
+    let result = Maxsat.Optimizer.resume descent in
+    Sat.Solver.sanitize_check solver;
+    match result with
+    | Maxsat.Optimizer.Optimal o ->
+      seam := Some (Satmap.Encoding.decode act.a_enc o.model).final
+    | Maxsat.Optimizer.Unsatisfiable _ when pin <> None -> solve_slice i None
+    | _ -> Alcotest.failf "slice %d: no optimum" i
+  in
+  List.iteri (fun i _ -> solve_slice i !seam) slices
+
 let test_heap_check () =
   let priorities = [| 5.0; 1.0; 3.0; 9.0; 2.0 |] in
-  let h = Sat.Heap.create (fun x y -> priorities.(x) > priorities.(y)) in
+  let h = Sat.Heap.create priorities in
   for i = 0 to 4 do
     Sat.Heap.insert h i;
     Sat.Heap.check_exn h
@@ -554,6 +605,8 @@ let () =
         [
           Alcotest.test_case "200 random CNFs" `Quick test_sanitizer_random_cnfs;
           Alcotest.test_case "toggle" `Quick test_sanitizer_toggle;
+          Alcotest.test_case "session route on tokyo" `Quick
+            test_sanitizer_session_route;
           Alcotest.test_case "heap check" `Quick test_heap_check;
         ] );
     ]

@@ -36,7 +36,7 @@ let test_vec_sort () =
 
 let test_heap_order () =
   let priorities = [| 5.0; 1.0; 3.0; 9.0; 2.0 |] in
-  let h = Sat.Heap.create (fun x y -> priorities.(x) > priorities.(y)) in
+  let h = Sat.Heap.create priorities in
   for i = 0 to 4 do
     Sat.Heap.insert h i
   done;
@@ -45,7 +45,7 @@ let test_heap_order () =
 
 let test_heap_update () =
   let priorities = [| 1.0; 2.0; 3.0 |] in
-  let h = Sat.Heap.create (fun x y -> priorities.(x) > priorities.(y)) in
+  let h = Sat.Heap.create priorities in
   List.iter (Sat.Heap.insert h) [ 0; 1; 2 ];
   priorities.(0) <- 10.0;
   Sat.Heap.update h 0;

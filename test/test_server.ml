@@ -291,6 +291,54 @@ let test_server_stop_idempotent () =
       Serving.Server.stop server;
       Serving.Server.stop server)
 
+(* Connections that open and close at once, from a second thread, next to
+   a busy one in the same process.  Each descriptor must be closed exactly
+   once: a second close, by the server's handler or by [disconnect], can
+   land on a number the kernel has just handed to another socket here,
+   and the busy connection then fails with EBADF or loses its peer. *)
+let test_server_idle_connections_close_once () =
+  with_server (fun server ->
+      let addr = Serving.Server.address server in
+      let busy = Serving.Server.connect addr in
+      let stop_idle = Atomic.make false in
+      let idle_error = Atomic.make None in
+      let idle =
+        Thread.create
+          (fun () ->
+            try
+              while not (Atomic.get stop_idle) do
+                Serving.Server.disconnect (Serving.Server.connect addr)
+              done
+            with e -> Atomic.set idle_error (Some (Printexc.to_string e)))
+          ()
+      in
+      let req =
+        {
+          P.default_request with
+          qasm = "OPENQASM 2.0;\nqreg q[3];\ncx q[0],q[1];\ncx q[1],q[2];";
+          device = "linear-4";
+          timeout = 30.0;
+        }
+      in
+      let busy_result =
+        try
+          for i = 1 to 200 do
+            let id = Printf.sprintf "busy-%d" i in
+            send (snd busy) { req with id };
+            match recv (fst busy) with
+            | P.Ok_response p -> Alcotest.(check string) "id echoed" id p.P.ok_id
+            | _ -> Alcotest.fail "busy request failed"
+          done;
+          None
+        with Sys_error msg | Unix.Unix_error (_, msg, _) -> Some msg
+      in
+      Atomic.set stop_idle true;
+      Thread.join idle;
+      Serving.Server.disconnect busy;
+      Alcotest.(check (option string)) "busy connection intact" None busy_result;
+      Alcotest.(check (option string)) "idle connections intact" None
+        (Atomic.get idle_error))
+
 let () =
   Alcotest.run "server"
     [
@@ -332,5 +380,7 @@ let () =
             test_server_bad_request_keeps_connection;
           Alcotest.test_case "stop is idempotent" `Quick
             test_server_stop_idempotent;
+          Alcotest.test_case "idle connections close once" `Quick
+            test_server_idle_connections_close_once;
         ] );
     ]
