@@ -13,10 +13,14 @@
       reaches the same optimum, certified with at least one checked
       proof on a workload whose optimum needs a swap.
 
-   The workload alternates CX(0,1) / CX(1,2) on a 3-qubit line: from any
-   pinned seam permutation each gate is at distance <= 2, so every slice
-   is solvable within the default n_swaps = 1 and no budget escalation
-   (which would legitimately build an extra solver) can occur. *)
+   The workload repeats CX(0,1) / CX(1,2) / CX(0,2) on a 3-qubit line,
+   one gate per slice.  From any pinned seam permutation each gate is at
+   distance <= 2, so every slice is solvable within the default
+   n_swaps = 1 and no budget escalation (which would legitimately build
+   an extra solver) can occur.  A triangle cannot embed in a line, so
+   some blocks need a SWAP whatever map they inherit and reach the solver
+   instead of the zero-swap shortcut; a workload whose every map is
+   zero-swap would never reuse a skeleton. *)
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
@@ -30,7 +34,8 @@ let () =
   let device = Arch.Topologies.linear 3 in
   let gates =
     List.concat
-      (List.init 6 (fun _ -> [ Quantum.Gate.cx 0 1; Quantum.Gate.cx 1 2 ]))
+      (List.init 4 (fun _ ->
+           [ Quantum.Gate.cx 0 1; Quantum.Gate.cx 1 2; Quantum.Gate.cx 0 2 ]))
   in
   let circuit = Quantum.Circuit.create ~n_clbits:0 ~n_qubits:3 gates in
   let config =

@@ -123,9 +123,13 @@ let run_of_outcome = function
 
 let added_gates run = 3 * run.swaps
 
+(* The paper's SATMAP lets slice 0's MaxSAT instance choose the initial
+   map, so the reproduced tables route with [placement = Free], not the
+   library's QAP pin. *)
 let satmap_config () =
   {
     Satmap.Router.default_config with
+    placement = Satmap.Router.Free;
     timeout = timeout ();
     certify = !opt_certify;
     solver_parallelism = max 1 !opt_solver_jobs;

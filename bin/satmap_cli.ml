@@ -212,10 +212,14 @@ let seed_placement =
     & opt (some string) None
     & info [ "seed-placement" ] ~docv:"SEEDER"
         ~doc:
-          "Seed the initial mapping externally before routing: 'qap' \
-           (quadratic-assignment placement with tabu search) or 'none'. \
-           Applies to the default MaxSAT pipeline (first slice pin) and \
-           to any --engine that accepts a seed.")
+          "Initial placement: 'qap' or 'none'.  For the MaxSAT router the \
+           default is 'qap': a route that spans more than one slice pins \
+           its first slice to the quadratic-assignment placement (tabu \
+           search) of the whole circuit; single-slice, monolithic and \
+           cyclic routes stay free.  'none' lets the solver choose the \
+           first slice's map, as the paper's SATMAP does.  With --engine, \
+           'qap' seeds any engine that accepts a seed; without it each \
+           engine places on its own.")
 
 let print_engine_list fmt () =
   List.iter
@@ -268,7 +272,9 @@ let print_solver_stats () =
   let v name = Obs.Metrics.value (Obs.Metrics.counter name) in
   Format.printf "solvers:       %d created@." (v "solver.created");
   Format.printf "reused:        %d clauses (descents resumed %d)@."
-    (v "encode.reused_clauses") (v "descent.resumed")
+    (v "encode.reused_clauses") (v "descent.resumed");
+  Format.printf "zero-swap:     %d of %d blocks skipped the solver@."
+    (v "router.zero_swap_blocks") (v "router.blocks")
 
 let lint_blocks =
   Arg.(
@@ -307,8 +313,9 @@ let route_cmd_run device qasm timeout slice_size method_ noise output n_swaps
   in
   let seed_placement =
     match seed_placement with
-    | None | Some "none" -> None
-    | Some "qap" -> Some `Qap
+    | None -> `Default
+    | Some "none" -> `None
+    | Some "qap" -> `Qap
     | Some other ->
       Format.eprintf "unknown seed placement %S (try: qap, none)@." other;
       exit exit_parse_error
@@ -337,11 +344,6 @@ let route_cmd_run device qasm timeout slice_size method_ noise output n_swaps
       Satmap.Encoding.Fidelity (Arch.Calibration.synthetic device)
     else Satmap.Encoding.Count_swaps
   in
-  let seed_initial =
-    match seed_placement with
-    | Some `Qap -> Some (Engines.Qap.place device circuit)
-    | None -> None
-  in
   match engine with
   | Some e -> (
     let ecfg =
@@ -351,7 +353,10 @@ let route_cmd_run device qasm timeout slice_size method_ noise output n_swaps
         n_swaps;
         slice_size = Option.value slice_size ~default:25;
         objective;
-        initial = seed_initial;
+        initial =
+          (match seed_placement with
+          | `Qap -> Some (Satmap.Placement.place device circuit)
+          | `Default | `None -> None);
       }
     in
     match Engines.Registry.run e device circuit ecfg with
@@ -389,7 +394,10 @@ let route_cmd_run device qasm timeout slice_size method_ noise output n_swaps
       solver_parallelism = max 1 solver_jobs;
       certify;
       lint_blocks;
-      initial_map = seed_initial;
+      placement =
+        (match seed_placement with
+        | `Default | `Qap -> Satmap.Router.Qap
+        | `None -> Satmap.Router.Free);
     }
   in
   let span =

@@ -9,10 +9,10 @@
    tabu search over pair swaps and relocations to free physical qubits,
    with an aspiration criterion on the incumbent best.
 
-   The result is a placement, not a routing: it is used standalone in
-   front of SABRE (the [qap] engine) or as an initial-mapping seed for
-   any engine with [accepts_seed] (satmap's [initial_map], SABRE's
-   [route_from], A*'s and tket's [?initial]). *)
+   The result is a placement, not a routing.  The sliced router pins its
+   first slice to it by default ([Router.config.placement = Qap]); the
+   [qap] engine routes from it with SABRE; and any engine that accepts a
+   seed takes it through [--seed-placement qap]. *)
 
 let flow_matrix circuit =
   let n = Quantum.Circuit.n_qubits circuit in
@@ -115,7 +115,7 @@ let greedy device flow =
 
 let place ?(seed = 1) ?(iterations = 250) device circuit =
   if Quantum.Circuit.n_qubits circuit > Arch.Device.n_qubits device then
-    invalid_arg "Qap.place: circuit does not fit on the device";
+    invalid_arg "Placement.place: circuit does not fit on the device";
   let flow = flow_matrix circuit in
   let n_log = Array.length flow in
   let n_phys = Arch.Device.n_qubits device in
@@ -180,12 +180,3 @@ let place ?(seed = 1) ?(iterations = 250) device circuit =
     end
   done;
   !best_sol
-
-let route ?(seed = 1) ?sabre_config device circuit =
-  let initial = place ~seed device circuit in
-  let config =
-    match sabre_config with
-    | Some c -> c
-    | None -> { Heuristics.Sabre.default_config with seed }
-  in
-  Heuristics.Sabre.route_from ~config ~initial device circuit

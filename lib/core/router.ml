@@ -16,7 +16,14 @@
    the result is flagged as not proved optimal.  When a pinned seam makes
    a block unsatisfiable and backtracking is exhausted, the swap budget n
    for that block escalates (doubling, capped at the device diameter),
-   which restores completeness. *)
+   which restores completeness.
+
+   Sliced routing places before it slices: by default slice 0 is pinned
+   to the quadratic-assignment placement of the whole circuit
+   ([Placement.place]), and a pinned block whose gates all sit on device
+   edges skips the solver (its optimum is 0 and its solution forced). *)
+
+type placement = Free | Qap | Fixed of int array
 
 type config = {
   n_swaps : int;
@@ -81,13 +88,16 @@ type config = {
           already match this route's blocks, so even the first block
           skips skeleton emission.  [None] gives each route a private
           session. *)
-  initial_map : int array option;
-      (** externally supplied initial placement (log -> phys), e.g. from
-          the QAP seeder: pins the whole-circuit initial map under
-          [route_monolithic] and the first slice under [route_sliced].
-          The optimum found is then optimal {e given} the seed, not
-          globally.  Ignored by the cyclic relaxation, whose initial map
-          must stay free to close the loop. *)
+  placement : placement;
+      (** where the initial map comes from.  [Free]: the solver picks it
+          (the paper's SATMAP).  [Qap] (default): [route_sliced] pins
+          slice 0 to [Placement.place] of the whole circuit when the
+          circuit spans more than one slice, and is free otherwise.
+          [Fixed a]: an external placement (log -> phys) pins the
+          whole-circuit initial map under [route_monolithic] and slice 0
+          under [route_sliced].  A pinned optimum is optimal {e given}
+          the placement.  The cyclic relaxation ignores this field: its
+          initial map must stay free to close the loop. *)
 }
 
 (* Everything a block's solution depends on.  A cache keyed on any strict
@@ -134,13 +144,14 @@ let default_config =
     incremental = true;
     reuse_window = 16;
     warm_session = None;
-    initial_map = None;
+    placement = Qap;
   }
 
 let m_blocks = Obs.Metrics.counter "router.blocks"
 let m_backtracks = Obs.Metrics.counter "router.backtracks"
 let m_escalations = Obs.Metrics.counter "router.escalations"
 let m_routes = Obs.Metrics.counter "router.routes"
+let m_zero_swap = Obs.Metrics.counter "router.zero_swap_blocks"
 
 type stats = {
   time : float;
@@ -339,16 +350,36 @@ let classify_block_result ~config enc (result : Maxsat.Optimizer.result) =
   | Maxsat.Optimizer.Unsatisfiable _ -> Block_unsat
   | Maxsat.Optimizer.Timeout -> Block_timeout
 
-(* The cache only serves blocks whose solutions the rest of the pipeline
-   can take at face value: no proof obligations, no lint instrumentation,
-   no fault injection between decode and replay. *)
+(* A block may skip the solver (a block-cache hit, the zero-swap
+   shortcut) only when the rest of the pipeline takes its solution at face
+   value: no proof obligations, no lint instrumentation, no fault
+   injection between decode and replay. *)
+let may_skip_solver config =
+  (not config.certify) && (not config.lint_blocks)
+  && config.fault_injection = None
+
 let block_cache_of config =
-  match config.block_cache with
-  | Some c
-    when (not config.certify) && (not config.lint_blocks)
-         && config.fault_injection = None ->
-    Some c
-  | Some _ | None -> None
+  if may_skip_solver config then config.block_cache else None
+
+(* The exact zero-swap shortcut.  When the pinned initial map [m] puts
+   every two-qubit gate of the block on a device edge, the block's
+   [Count_swaps] optimum is 0 and its solution is forced: no SWAP in any
+   slot, so the final map is [m].  A fixed final, the cyclic tie or post
+   slots can each demand a SWAP, a blocked [m] forbids the forced final,
+   and under [Fidelity] a SWAP may buy a better edge; none of those
+   blocks qualify. *)
+let zero_swap_pin ~config ~device ?fixed_initial ?fixed_final ~cyclic
+    ~blocked_finals ~post_slots circuit =
+  match (fixed_initial, config.objective) with
+  | Some m, Encoding.Count_swaps
+    when fixed_final = None && (not cyclic) && post_slots = 0
+         && may_skip_solver config
+         && (not (List.mem m blocked_finals))
+         && List.for_all
+              (fun (_, q, q') -> Arch.Device.adjacent device m.(q) m.(q'))
+              (Quantum.Circuit.two_qubit_gates circuit) ->
+    Some m
+  | _ -> None
 
 (* More racing domains than cores is pure timesharing loss; cap at the
    machine budget like the serving layer does. *)
@@ -368,15 +399,17 @@ let session_for config =
     | None -> Some (Encoding.Session.create ~window:config.reuse_window ())
   else None
 
+(* Returns the block result, the solver calls paid, and whether the
+   zero-swap shortcut answered. *)
 let solve_block ~config ~deadline ~device ?session ?fixed_initial ?fixed_final
     ?(cyclic = false) ?(blocked_finals = []) ?n_swaps_override ?(post_slots = 0)
     ?(block_ix = 0) circuit =
   let spec = spec_of_config ?n_swaps_override ~post_slots config device in
-  if Unix.gettimeofday () > deadline then (Block_timeout, 0)
+  if Unix.gettimeofday () > deadline then (Block_timeout, 0, false)
   else if
     Encoding.estimate_vars spec circuit > config.max_vars
     || Encoding.estimate_clauses spec circuit > config.max_clauses
-  then (Block_too_large, 0)
+  then (Block_too_large, 0, false)
   else begin
     let cache = block_cache_of config in
     let query () =
@@ -402,21 +435,38 @@ let solve_block ~config ~deadline ~device ?session ?fixed_initial ?fixed_final
         c.bc_store config (query ()) b.sol
       | _ -> ()
     in
-    match Option.map (fun c -> c.bc_find config (query ())) cache with
-    | Some (Some sol) ->
-      (* Hit: neither the solver nor clause emission is paid — the
-         layout-only structure is enough for [emit] to replay the cached
-         solution through the step/slot schedule. *)
-      ( Block_solved
+    let skip =
+      match
+        zero_swap_pin ~config ~device ?fixed_initial ?fixed_final ~cyclic
+          ~blocked_finals ~post_slots circuit
+      with
+      | Some m -> Some (`Zero_swap m)
+      | None ->
+        Option.bind cache (fun c ->
+            Option.map (fun sol -> `Cached sol) (c.bc_find config (query ())))
+    in
+    match skip with
+    | Some hit ->
+      (* A cache hit or the zero-swap shortcut: neither the solver nor
+         clause emission is paid — the layout-only structure is enough for
+         [emit] to replay the solution through the step/slot schedule. *)
+      let enc = Encoding.structure spec circuit in
+      let sol =
+        match hit with
+        | `Cached sol -> sol
+        | `Zero_swap m ->
+          Obs.Metrics.incr m_zero_swap;
           {
-            enc = Encoding.structure spec circuit;
-            sol;
-            optimal = true;
-            iterations = 0;
-            cert = None;
-          },
-        0 )
-    | Some None | None -> (
+            Encoding.initial = Array.copy m;
+            final = Array.copy m;
+            slot_swaps = Array.make (Encoding.n_slots enc) None;
+            swap_count = 0;
+          }
+      in
+      ( Block_solved { enc; sol; optimal = true; iterations = 0; cert = None },
+        0,
+        match hit with `Zero_swap _ -> true | `Cached _ -> false )
+    | None -> (
       match session with
       | Some sess when session_usable config && Encoding.Session.supported spec
         -> (
@@ -427,7 +477,7 @@ let solve_block ~config ~deadline ~device ?session ?fixed_initial ?fixed_final
           Encoding.Session.prepare ~deadline ?fixed_initial ?fixed_final
             ~cyclic ~blocked_finals sess spec circuit
         with
-        | exception Encoding.Encode_timeout -> (Block_encode_timeout, 0)
+        | exception Encoding.Encode_timeout -> (Block_encode_timeout, 0, false)
         | act ->
           let os =
             Maxsat.Optimizer.attach ~assumptions:act.a_assumptions
@@ -438,13 +488,13 @@ let solve_block ~config ~deadline ~device ?session ?fixed_initial ?fixed_final
               (Maxsat.Optimizer.resume ~deadline ?report os)
           in
           store_optimal result;
-          (result, 1))
+          (result, 1, false))
       | _ -> (
         match
           Encoding.build ~deadline ?fixed_initial ?fixed_final ~cyclic
             ~blocked_finals spec circuit
         with
-        | exception Encoding.Encode_timeout -> (Block_encode_timeout, 0)
+        | exception Encoding.Encode_timeout -> (Block_encode_timeout, 0, false)
         | enc ->
           if config.lint_blocks then begin
             (* Pinned, blocked, or cyclic blocks may legitimately refute at
@@ -469,7 +519,7 @@ let solve_block ~config ~deadline ~device ?session ?fixed_initial ?fixed_final
                  ?report ~jobs ~cube_vars (Encoding.instance enc))
           in
           store_optimal result;
-          (result, 1)))
+          (result, 1, false)))
   end
 
 let block_result_label = function
@@ -499,7 +549,7 @@ let solve_block_escalating ~config ~deadline ~device ?session ?fixed_initial
   let diameter = max 1 (Arch.Device.diameter device) in
   let rec attempt n escalations calls =
     let post_slots = if want_post then n else 0 in
-    let result, c =
+    let result, c, zero_swap =
       solve_block ~config ~deadline ~device ?session ?fixed_initial
         ?fixed_final ~cyclic ~blocked_finals ~n_swaps_override:n ~post_slots
         ~block_ix circuit
@@ -507,16 +557,20 @@ let solve_block_escalating ~config ~deadline ~device ?session ?fixed_initial
     match result with
     | Block_unsat when n < diameter ->
       attempt (min diameter (2 * n)) (escalations + 1) (calls + c)
-    | other -> (other, escalations, calls + c)
+    | other -> (other, escalations, calls + c, zero_swap)
   in
-  let result, escalations, solver_calls = attempt config.n_swaps 0 0 in
+  let result, escalations, solver_calls, zero_swap =
+    attempt config.n_swaps 0 0
+  in
   Obs.Metrics.incr m_blocks;
   Obs.Metrics.add m_escalations escalations;
   if span != Obs.Trace.null_span then
     Obs.Trace.stop span
       ~args:
         [
-          ("result", Obs.Trace.Str (block_result_label result));
+          ( "result",
+            Obs.Trace.Str
+              (if zero_swap then "zero_swap" else block_result_label result) );
           ("escalations", Obs.Trace.Int escalations);
         ];
   (result, escalations, solver_calls)
@@ -586,7 +640,9 @@ let route_monolithic ?(config = default_config) device circuit =
     let session = session_for config in
     let result, escalations, solver_calls =
       solve_block_escalating ~config ~deadline ~device ?session
-        ?fixed_initial:config.initial_map circuit
+        ?fixed_initial:
+          (match config.placement with Fixed a -> Some a | Free | Qap -> None)
+        circuit
     in
     match result with
     | Block_solved b ->
@@ -641,6 +697,14 @@ let route_sliced ?(config = default_config) ~slice_size device circuit =
            (Quantum.Circuit.slice_by_two_qubit circuit ~slice_size))
     in
     let n = Array.length slices in
+    (* Place before slicing: one block's free optimum is already the
+       global optimum, so only a multi-slice route takes the QAP pin. *)
+    let pin =
+      match config.placement with
+      | Fixed a -> Some a
+      | Qap when n > 1 -> Some (Placement.place device circuit)
+      | Qap | Free -> None
+    in
     let session = session_for config in
     let backtracks = ref 0 in
     let escalations = ref 0 in
@@ -650,7 +714,7 @@ let route_sliced ?(config = default_config) ~slice_size device circuit =
     while !failure = None && !i < n do
       let st = slices.(!i) in
       let fixed_initial =
-        if !i = 0 then config.initial_map
+        if !i = 0 then pin
         else
           match slices.(!i - 1).solution with
           | Some b -> Some b.sol.final

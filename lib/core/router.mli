@@ -10,7 +10,28 @@
       (how the paper runs SATMAP).
 
     All routers are anytime: a deadline mid-descent yields the best
-    solution found so far, flagged as not proved optimal. *)
+    solution found so far, flagged as not proved optimal.
+
+    Sliced routing places before it slices: by default slice 0 is pinned
+    to {!Placement.place} of the whole circuit, and a pinned block whose
+    two-qubit gates all sit on device edges skips the solver — its
+    optimum is 0 swaps and its solution is forced (the zero-swap
+    shortcut, counted by the [router.zero_swap_blocks] metric). *)
+
+(** Where a route's initial map comes from. *)
+type placement =
+  | Free  (** the solver chooses it: the paper's SATMAP *)
+  | Qap
+      (** default: a sliced route that spans more than one slice pins
+          slice 0 to {!Placement.place} of the whole circuit; a
+          single-slice route, {!route_monolithic} and the cyclic
+          relaxation stay free (one block's free optimum is already the
+          global optimum, and the cyclic tie needs a free initial map) *)
+  | Fixed of int array
+      (** an external placement (log -> phys), e.g. a seeder's: pins the
+          whole-circuit initial map under {!route_monolithic} and slice 0
+          under {!route_sliced} exactly like a seam pin, so the block
+          cache stays sound (the pin is part of the {!block_query}) *)
 
 type config = {
   n_swaps : int;  (** the paper's n; default 1 *)
@@ -52,7 +73,8 @@ type config = {
           block before {!Maxsat.Optimizer.solve}, so repeated block
           structure stops paying the solver.  Ignored under [certify],
           [lint_blocks] or [fault_injection] — cached solutions carry no
-          proofs and must not mask the debug/test paths. *)
+          proofs and must not mask the debug/test paths.  The same
+          predicate gates the zero-swap shortcut. *)
   on_improvement : (block:int -> iteration:int -> cost:int -> unit) option;
       (** anytime-progress hook: called from inside the MaxSAT descent
           after every satisfiable iteration with the index of the block
@@ -81,16 +103,10 @@ type config = {
           earlier request on the same device and shape.  [None] (default)
           gives each route a private session.  Not domain-safe: never
           share one session across concurrently running routes. *)
-  initial_map : int array option;
-      (** externally supplied initial placement (log -> phys), e.g. from
-          the QAP/tabu seeder ([Engines.Qap.place]): pins the
-          whole-circuit initial map under [route_monolithic] and the
-          first slice under [route_sliced] exactly like a seam pin, so
-          the block cache stays sound (the pin is part of the
-          {!block_query}).  The optimum found is optimal {e given} the
-          seed, not globally.  Ignored by the cyclic relaxation, whose
-          initial map must stay free to close the loop.  Default
-          [None]. *)
+  placement : placement;
+      (** default [Qap].  A pinned optimum is optimal {e given} the
+          placement, not globally.  Ignored by the cyclic relaxation,
+          whose initial map must stay free to close the loop. *)
 }
 
 (** Everything a block's solution depends on — the contract a cache key
@@ -202,6 +218,32 @@ val classify_block_result :
     the wall clock says now — and [Feasible] is only accepted under
     [config.accept_feasible].  Applies [config.fault_injection] to the
     decoded solution. *)
+
+val solve_block :
+  config:config ->
+  deadline:float ->
+  device:Arch.Device.t ->
+  ?session:Encoding.Session.t ->
+  ?fixed_initial:int array ->
+  ?fixed_final:int array ->
+  ?cyclic:bool ->
+  ?blocked_finals:int array list ->
+  ?n_swaps_override:int ->
+  ?post_slots:int ->
+  ?block_ix:int ->
+  Quantum.Circuit.t ->
+  block_result * int * bool
+(** Solve one block under its seam constraints, as both drivers do: the
+    zero-swap shortcut, else the block cache, else the incremental
+    session or a from-scratch build.  Returns the result, the
+    {!Maxsat.Optimizer} calls paid (0 for a shortcut or a cache hit), and
+    whether the zero-swap shortcut answered.  The shortcut answers exactly
+    when [fixed_initial] is [Some m]; there is no [fixed_final], no
+    [cyclic] tie and no [post_slots]; [m] is not among [blocked_finals];
+    the objective is [Count_swaps]; the config may skip the solver (no
+    [certify], [lint_blocks] or [fault_injection], as for the block
+    cache); and every two-qubit gate sits on a device edge under [m].  It
+    returns the forced optimum: no SWAP, final map [m]. *)
 
 val emit :
   device:Arch.Device.t ->

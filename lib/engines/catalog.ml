@@ -1,11 +1,12 @@
 (* The builtin engine catalogue and name table.
 
    Every routing path in the repo is wrapped behind the [Registry.t]
-   contract: the MaxSAT reference router (sliced, seeded via
-   [Router.config.initial_map]), the three heuristic baselines, the
-   hybrid MaxSAT-mapping + SABRE pipeline, and the two engines new to
-   this subsystem — [swap_strategy] and [qap].  Callers go through
-   [find]/[all]/[names]; [register] is the extension point. *)
+   contract: the MaxSAT reference router (sliced; a seed becomes
+   [Router.config.placement = Fixed]), the three heuristic baselines, the
+   hybrid MaxSAT-mapping + SABRE pipeline, [swap_strategy], and [qap]
+   (SABRE from the {!Satmap.Placement} quadratic-assignment map).
+   Callers go through [find]/[all]/[names]; [register] is the extension
+   point. *)
 
 let seeded placement cfg =
   match (cfg : Registry.config).initial with
@@ -19,7 +20,10 @@ let maxsat_route device circuit (cfg : Registry.config) =
       timeout = cfg.timeout;
       n_swaps = cfg.n_swaps;
       objective = cfg.objective;
-      initial_map = cfg.initial;
+      placement =
+        (match cfg.initial with
+        | Some a -> Satmap.Router.Fixed a
+        | None -> Satmap.Router.default_config.placement);
       (* the registry wrapper verifies uniformly *)
       verify = false;
     }
@@ -59,7 +63,7 @@ let hybrid_route device circuit (cfg : Registry.config) =
   Ok (Heuristics.Hybrid.route ~config device circuit, false)
 
 let qap_place device circuit (cfg : Registry.config) =
-  Qap.place ~seed:cfg.seed device circuit
+  Satmap.Placement.place ~seed:cfg.seed device circuit
 
 let qap_route device circuit (cfg : Registry.config) =
   let initial = seeded (fun () -> qap_place device circuit cfg) cfg in

@@ -132,6 +132,16 @@ let amo_name = function
   | Sat.Card.Sequential -> "sequential"
   | Sat.Card.Commander -> "commander"
 
+let int_array_part a =
+  String.concat "," (List.map string_of_int (Array.to_list a))
+
+(* The placement decides slice 0's initial map, so a routing found under
+   one placement must never answer a request made under another. *)
+let placement_part = function
+  | Satmap.Router.Free -> "placement:free"
+  | Satmap.Router.Qap -> "placement:qap"
+  | Satmap.Router.Fixed a -> "placement:fixed:" ^ int_array_part a
+
 let config_digest (config : Satmap.Router.config) =
   digest_parts
     [
@@ -140,10 +150,8 @@ let config_digest (config : Satmap.Router.config) =
       string_of_bool config.inject_all_gate_layers;
       string_of_bool config.mobility;
       objective_digest config.objective;
+      placement_part config.placement;
     ]
-
-let int_array_part a =
-  String.concat "," (List.map string_of_int (Array.to_list a))
 
 let block_key (config : Satmap.Router.config)
     (q : Satmap.Router.block_query) =

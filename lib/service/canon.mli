@@ -52,11 +52,13 @@ val calibration_digest : Arch.Calibration.t -> string
 val objective_digest : Satmap.Encoding.objective -> string
 
 val config_digest : Satmap.Router.config -> string
-(** Digest of exactly the config fields a block solution depends on:
-    [amo], [coalesce], [inject_all_gate_layers], [mobility] and the
-    objective.  The swap budget is per-query ([bq_n_swaps]); deadlines,
-    verification, certification and debug seams do not change which
-    solutions are valid and are excluded. *)
+(** Digest of exactly the config fields a routing depends on: [amo],
+    [coalesce], [inject_all_gate_layers], [mobility], the objective and
+    the placement.  A block query already carries its own pin, so in a
+    block key the placement only splits entries by configuration.  The
+    swap budget is per-query ([bq_n_swaps]); deadlines, verification,
+    certification and debug seams do not change which solutions are
+    valid and are excluded. *)
 
 val block_key : Satmap.Router.config -> Satmap.Router.block_query -> string * int array
 (** Cache key for one router block, plus the slice's canonical

@@ -76,11 +76,12 @@ let err id code message = Protocol.Error_response { id; code; message }
    different engines produce different routings for one circuit, so a
    cached reply must never cross engines (the v1 -> v2 prefix bump
    retires pre-engine persisted entries wholesale rather than risking a
-   collision with them). *)
+   collision with them).  The v2 -> v3 bump retires entries routed with a
+   free slice 0, from before the QAP placement became the default. *)
 let request_key (req : Protocol.request) config device canon_circuit =
   Canon.digest_parts
     [
-      "satmap-serve/v2";
+      "satmap-serve/v3";
       "engine:" ^ req.engine;
       Canon.device_digest device;
       Canon.config_digest config;
@@ -137,8 +138,8 @@ let prepare (req : Protocol.request) =
     | circuit ->
       let perm, canon = Canon.canonical circuit in
       (* Only the digested config fields matter for the key (encoding
-         knobs + objective); timeout, parallelism and the cache hook are
-         deliberately not part of it. *)
+         knobs, objective, placement); timeout, parallelism and the cache
+         hook are deliberately not part of it. *)
       let key_config =
         { Satmap.Router.default_config with objective = objective_of req device }
       in

@@ -137,7 +137,7 @@ let test_qap_place_valid () =
         ~locality:0.7
     in
     let device = Arch.Topologies.grid ~rows:2 ~cols:3 in
-    let placement = Engines.Qap.place ~seed device circuit in
+    let placement = Satmap.Placement.place ~seed device circuit in
     Alcotest.(check int) "one slot per logical qubit" n
       (Array.length placement);
     Array.iter

@@ -767,6 +767,181 @@ let prop_routers_always_verified =
               device circuit))
 
 (* ------------------------------------------------------------------ *)
+(* Placement before slicing and the zero-swap shortcut *)
+
+let m_zero_swap = Obs.Metrics.counter "router.zero_swap_blocks"
+let qasm_of r = Quantum.Qasm.to_string (Satmap.Routed.circuit r)
+let final_of r = Satmap.Mapping.to_array (Satmap.Routed.final r)
+
+(* A random placement of [n_log] qubits with at least one logical pair on
+   a device edge, and a circuit whose two-qubit gates all use such pairs
+   (one-qubit gates in between). *)
+let adjacent_under_pin rng device ~n_log ~gates =
+  let n_phys = Arch.Device.n_qubits device in
+  let qubits = List.init n_log Fun.id in
+  let rec draw () =
+    let pin =
+      Satmap.Mapping.to_array (Satmap.Mapping.random rng ~n_log ~n_phys)
+    in
+    let pairs =
+      List.concat_map
+        (fun q ->
+          List.filter_map
+            (fun q' ->
+              if q < q' && Arch.Device.adjacent device pin.(q) pin.(q') then
+                Some (q, q')
+              else None)
+            qubits)
+        qubits
+    in
+    if pairs = [] then draw () else (pin, Array.of_list pairs)
+  in
+  let pin, pairs = draw () in
+  let two () =
+    let q, q' = pairs.(Rng.int rng (Array.length pairs)) in
+    if Rng.bool rng then cx q q' else cx q' q
+  in
+  let gate () =
+    if Rng.int rng 4 = 0 then Quantum.Gate.h (Rng.int rng n_log) else two ()
+  in
+  ( pin,
+    Quantum.Circuit.create ~n_qubits:n_log
+      (two () :: List.init gates (fun _ -> gate ())) )
+
+(* Differential: with an all-adjacent pin every block takes the shortcut,
+   and [certify] forces the solver on the same blocks; both must emit the
+   same routed circuit byte for byte and end on the same map. *)
+let prop_zero_swap_matches_solver =
+  QCheck2.Test.make ~count:25
+    ~name:"zero-swap shortcut emits what the solver emits"
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let device =
+        Rng.pick rng
+          [
+            line 4;
+            line 5;
+            Arch.Topologies.ring 5;
+            Arch.Topologies.grid ~rows:2 ~cols:3;
+            Arch.Topologies.complete 4;
+          ]
+      in
+      let n_log = 2 + Rng.int rng (Arch.Device.n_qubits device - 1) in
+      let pin, circuit =
+        adjacent_under_pin rng device ~n_log ~gates:(2 + Rng.int rng 8)
+      in
+      let shortcut = { quick_config with Satmap.Router.placement = Fixed pin } in
+      let solver = { shortcut with Satmap.Router.certify = true } in
+      let run config route =
+        let z0 = Obs.Metrics.value m_zero_swap in
+        let r, s = get_routed (route config) in
+        (r, s, Obs.Metrics.value m_zero_swap - z0)
+      in
+      List.for_all
+        (fun route ->
+          let r, s, z = run shortcut route in
+          let r', s', z' = run solver route in
+          if qasm_of r <> qasm_of r' then
+            QCheck2.Test.fail_reportf "QASM differs:@.%s@.vs@.%s" (qasm_of r)
+              (qasm_of r');
+          final_of r = final_of r'
+          && final_of r = pin
+          && z = s.Satmap.Router.n_blocks
+          && s.solver_calls = 0 && z' = 0
+          && s'.Satmap.Router.solver_calls = s'.n_blocks)
+        [
+          (fun config -> Satmap.Router.route_monolithic ~config device circuit);
+          (fun config ->
+            Satmap.Router.route_sliced ~config ~slice_size:1 device circuit);
+          (fun config ->
+            Satmap.Router.route_sliced ~config ~slice_size:3 device circuit);
+        ])
+
+let solve_pinned ?(config = quick_config) ?blocked_finals device pin circuit =
+  Satmap.Router.solve_block ~config
+    ~deadline:(Unix.gettimeofday () +. 20.)
+    ~device ~fixed_initial:pin ?blocked_finals circuit
+
+let test_zero_swap_blocked_pin () =
+  (* Blocking the pin forbids the forced final map, so the block must go
+     to the solver, which finds a one-swap optimum ending elsewhere. *)
+  let device = line 3 in
+  let circuit = Quantum.Circuit.create ~n_qubits:2 [ cx 0 1 ] in
+  let pin = [| 0; 1 |] in
+  (match solve_pinned device pin circuit with
+  | Satmap.Router.Block_solved b, 0, true ->
+    Alcotest.(check (array int)) "final is the pin" pin b.sol.final;
+    Alcotest.(check int) "no swap" 0 b.sol.swap_count
+  | _ -> Alcotest.fail "an unblocked adjacent pin takes the shortcut");
+  match solve_pinned ~blocked_finals:[ pin ] device pin circuit with
+  | Satmap.Router.Block_solved b, 1, false ->
+    Alcotest.(check bool) "final avoids the blocked pin" true
+      (b.sol.final <> pin);
+    Alcotest.(check int) "one swap" 1 b.sol.swap_count;
+    Alcotest.(check bool) "optimal" true b.optimal
+  | _ -> Alcotest.fail "a blocked pin must fall through to the solver"
+
+let test_zero_swap_not_under_fidelity () =
+  let cal = Arch.Calibration.fake_tokyo () in
+  let device = Arch.Calibration.device cal in
+  let a, b = List.hd (Arch.Device.edges device) in
+  let circuit = Quantum.Circuit.create ~n_qubits:2 [ cx 0 1; cx 1 0 ] in
+  let config =
+    { quick_config with objective = Satmap.Encoding.Fidelity cal }
+  in
+  (match solve_pinned ~config device [| a; b |] circuit with
+  | Satmap.Router.Block_solved _, 1, false -> ()
+  | _ -> Alcotest.fail "Fidelity must reach the solver");
+  let z0 = Obs.Metrics.value m_zero_swap in
+  let _, s =
+    get_routed
+      (Satmap.Router.route_sliced
+         ~config:{ config with placement = Fixed [| a; b |] }
+         ~slice_size:1 device circuit)
+  in
+  Alcotest.(check int) "no shortcut block" 0
+    (Obs.Metrics.value m_zero_swap - z0);
+  Alcotest.(check int) "every block solved" s.n_blocks s.solver_calls
+
+let test_default_pins_slice_zero () =
+  let rng = Rng.create 11 in
+  let circuit =
+    Workloads.Generators.local_random rng ~n:6 ~gates:12 ~locality:0.7
+  in
+  let device = Arch.Topologies.grid ~rows:2 ~cols:4 in
+  let r, s =
+    get_routed
+      (Satmap.Router.route_sliced ~config:quick_config ~slice_size:4 device
+         circuit)
+  in
+  Alcotest.(check bool) "more than one slice" true (s.n_blocks > 1);
+  Alcotest.(check (array int)) "starts at the QAP placement"
+    (Satmap.Placement.place device circuit)
+    (Satmap.Mapping.to_array (Satmap.Routed.initial r))
+
+let test_default_free_where_one_block () =
+  (* One block's free optimum is already the global optimum, and the
+     cyclic tie needs a free initial map: these routes ignore [Qap]. *)
+  let device, body = running_example () in
+  let free = { quick_config with Satmap.Router.placement = Free } in
+  let same name route =
+    let r, _ = get_routed (route quick_config) in
+    let r', _ = get_routed (route free) in
+    Alcotest.(check string) name (qasm_of r') (qasm_of r);
+    Alcotest.(check (array int)) (name ^ " final") (final_of r') (final_of r)
+  in
+  same "single slice" (fun config ->
+      Satmap.Router.route_sliced ~config ~slice_size:100 device body);
+  same "monolithic" (fun config ->
+      Satmap.Router.route_monolithic ~config device body);
+  same "cyclic body, sliced" (fun config ->
+      Satmap.Router.route_cyclic_body ~config ~slice_size:2 ~repetitions:3
+        device body);
+  same "cyclic autodetect" (fun config ->
+      Satmap.Router.route_cyclic ~config device (Quantum.Circuit.repeat body 2))
+
+(* ------------------------------------------------------------------ *)
 (* Noise-aware objective (Q6) *)
 
 let test_noise_aware_routes () =
@@ -870,6 +1045,18 @@ let suite =
           test_fault_injection_yields_failed;
         qtest prop_router_optimal_vs_brute;
         qtest prop_routers_always_verified;
+      ] );
+    ( "pinning",
+      [
+        qtest prop_zero_swap_matches_solver;
+        Alcotest.test_case "blocked pin falls through" `Quick
+          test_zero_swap_blocked_pin;
+        Alcotest.test_case "no shortcut under fidelity" `Quick
+          test_zero_swap_not_under_fidelity;
+        Alcotest.test_case "multi-slice default pins slice 0" `Quick
+          test_default_pins_slice_zero;
+        Alcotest.test_case "one-block and cyclic defaults are free" `Quick
+          test_default_free_where_one_block;
       ] );
     ("noise", [ Alcotest.test_case "fidelity objective" `Quick test_noise_aware_routes ]);
   ]
