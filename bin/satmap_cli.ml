@@ -100,14 +100,13 @@ let method_ =
              ("sliced", `Sliced);
              ("monolithic", `Monolithic);
              ("cyclic", `Cyclic);
-             ("hybrid", `Hybrid);
            ])
         `Sliced
     & info [ "m"; "method" ] ~docv:"METHOD"
         ~doc:
-          "Routing method: sliced (SATMAP), monolithic (NL-SATMAP), cyclic \
-           (CYC-SATMAP, auto-detects the repeated body), or hybrid \
-           (optimal MaxSAT mapping + SABRE routing).")
+          "Routing method: sliced (SATMAP), monolithic (NL-SATMAP), or \
+           cyclic (CYC-SATMAP, auto-detects the repeated body).  Other \
+           pipelines, such as hybrid, are engines: see --engine.")
 
 let parallel =
   Arg.(
@@ -414,27 +413,6 @@ let route_cmd_run device qasm timeout slice_size method_ noise output n_swaps
     match (method_, slice_size) with
     | `Monolithic, _ -> Satmap.Router.route_monolithic ~config device circuit
     | `Cyclic, s -> Satmap.Router.route_cyclic ~config ?slice_size:s device circuit
-    | `Hybrid, _ ->
-      let routed =
-        Heuristics.Hybrid.route
-          ~config:{ Heuristics.Hybrid.default_config with timeout }
-          device circuit
-      in
-      Satmap.Router.Routed
-        ( routed,
-          {
-            Satmap.Router.time = 0.0;
-            n_backtracks = 0;
-            n_blocks = 1;
-            proved_optimal = false;
-            escalations = 0;
-            maxsat_iterations = 0;
-            certified = false;
-            proofs_checked = 0;
-            proof_events = 0;
-            certify_time = 0.;
-            solver_calls = 0;
-          } )
     | `Sliced, Some s ->
       Satmap.Router.route_sliced ~config ~slice_size:s device circuit
     | `Sliced, None ->

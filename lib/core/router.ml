@@ -11,12 +11,17 @@
    - [route_portfolio]    : run several slice sizes, keep the cheapest
                             solution (how the paper reports SATMAP).
 
+   The first three describe their blocks — the whole circuit, the
+   slices, the body or its slices with the cyclic tie — and hand them to
+   one block-sequence driver, [drive], behind one entry guard, [route].
+
    All solvers are anytime: when the deadline interrupts the MaxSAT
    descent after a model was found, the best-so-far solution is used and
-   the result is flagged as not proved optimal.  When a pinned seam makes
-   a block unsatisfiable and backtracking is exhausted, the swap budget n
-   for that block escalates (doubling, capped at the device diameter),
-   which restores completeness.
+   the result is flagged as not proved optimal.  A block unsatisfiable
+   under its seam first escalates its swap budget n (doubling, capped at
+   the device diameter), which restores completeness for a pinned initial
+   map; only a block still unsatisfiable at the diameter makes the walk
+   backtrack into the previous block.
 
    Sliced routing places before it slices: by default slice 0 is pinned
    to the quadratic-assignment placement of the whole circuit
@@ -180,13 +185,11 @@ type outcome =
   | Routed of Routed.t * stats
   | Failed of string
 
-let spec_of_config ?(n_swaps_override : int option) ?(post_slots = 0) config
-    device =
-  Encoding.spec
-    ~n_swaps:(Option.value n_swaps_override ~default:config.n_swaps)
-    ~post_slots ~amo:config.amo ~coalesce:config.coalesce
+let spec_of_query config q =
+  Encoding.spec ~n_swaps:q.bq_n_swaps ~post_slots:q.bq_post_slots
+    ~amo:config.amo ~coalesce:config.coalesce
     ~inject_all_gate_layers:config.inject_all_gate_layers
-    ~mobility:config.mobility ~objective:config.objective device
+    ~mobility:config.mobility ~objective:config.objective q.bq_device
 
 (* ------------------------------------------------------------------ *)
 (* Emission: turn an encoding solution into a routed physical circuit *)
@@ -272,34 +275,6 @@ type block_result =
   | Block_encode_timeout
   | Block_too_large
 
-(* Aggregate per-block certification reports into the stats fields:
-   certified iff certification was requested, every block was solved to
-   (local) optimality, and the checker accepted every block's
-   infeasibility proof.  Sliced routes are only locally optimal
-   ([proved_optimal] stays false for n > 1), but each block's optimum is
-   still individually certified. *)
-let cert_fields ~config ~all_optimal reports =
-  if not config.certify then (false, 0, 0, 0.)
-  else begin
-    let all_present = List.for_all Option.is_some reports in
-    let merged =
-      List.fold_left
-        (fun acc r ->
-          Maxsat.Certify.merge acc
-            (Option.value ~default:Maxsat.Certify.empty r))
-        Maxsat.Certify.empty reports
-    in
-    (* A vacuous report (zero proofs checked — trivial routes, cost-0
-       optima) verified nothing: [certified] must stay false however
-       "ok" the empty aggregate looks. *)
-    ( all_optimal && all_present
-      && Maxsat.Certify.ok merged
-      && not (Maxsat.Certify.vacuous merged),
-      merged.Maxsat.Certify.proofs_checked,
-      merged.Maxsat.Certify.trace_events,
-      merged.Maxsat.Certify.check_time )
-  end
-
 (* Split the remaining budget evenly over the remaining blocks so an
    early block cannot starve the rest while polishing optimality; the
    optimizer keeps its best model when its share runs out.  The floor of
@@ -368,16 +343,15 @@ let block_cache_of config =
    slots can each demand a SWAP, a blocked [m] forbids the forced final,
    and under [Fidelity] a SWAP may buy a better edge; none of those
    blocks qualify. *)
-let zero_swap_pin ~config ~device ?fixed_initial ?fixed_final ~cyclic
-    ~blocked_finals ~post_slots circuit =
-  match (fixed_initial, config.objective) with
+let zero_swap_pin ~config q =
+  match (q.bq_fixed_initial, config.objective) with
   | Some m, Encoding.Count_swaps
-    when fixed_final = None && (not cyclic) && post_slots = 0
+    when q.bq_fixed_final = None && (not q.bq_cyclic) && q.bq_post_slots = 0
          && may_skip_solver config
-         && (not (List.mem m blocked_finals))
+         && (not (List.mem m q.bq_blocked_finals))
          && List.for_all
-              (fun (_, q, q') -> Arch.Device.adjacent device m.(q) m.(q'))
-              (Quantum.Circuit.two_qubit_gates circuit) ->
+              (fun (_, a, b) -> Arch.Device.adjacent q.bq_device m.(a) m.(b))
+              (Quantum.Circuit.two_qubit_gates q.bq_slice) ->
     Some m
   | _ -> None
 
@@ -400,11 +374,11 @@ let session_for config =
   else None
 
 (* Returns the block result, the solver calls paid, and whether the
-   zero-swap shortcut answered. *)
-let solve_block ~config ~deadline ~device ?session ?fixed_initial ?fixed_final
-    ?(cyclic = false) ?(blocked_finals = []) ?n_swaps_override ?(post_slots = 0)
-    ?(block_ix = 0) circuit =
-  let spec = spec_of_config ?n_swaps_override ~post_slots config device in
+   zero-swap shortcut answered.  The block cache is keyed on [q], the
+   same value the solve reads. *)
+let solve_block ~config ~deadline ?session ?(block_ix = 0) q =
+  let spec = spec_of_query config q in
+  let circuit = q.bq_slice in
   if Unix.gettimeofday () > deadline then (Block_timeout, 0, false)
   else if
     Encoding.estimate_vars spec circuit > config.max_vars
@@ -412,18 +386,6 @@ let solve_block ~config ~deadline ~device ?session ?fixed_initial ?fixed_final
   then (Block_too_large, 0, false)
   else begin
     let cache = block_cache_of config in
-    let query () =
-      {
-        bq_device = device;
-        bq_slice = circuit;
-        bq_n_swaps = Option.value n_swaps_override ~default:config.n_swaps;
-        bq_post_slots = post_slots;
-        bq_cyclic = cyclic;
-        bq_fixed_initial = fixed_initial;
-        bq_fixed_final = fixed_final;
-        bq_blocked_finals = blocked_finals;
-      }
-    in
     let report =
       Option.map
         (fun f ~iteration ~cost ~stats:_ -> f ~block:block_ix ~iteration ~cost)
@@ -431,20 +393,20 @@ let solve_block ~config ~deadline ~device ?session ?fixed_initial ?fixed_final
     in
     let store_optimal result =
       match (result, cache) with
-      | Block_solved b, Some c when b.optimal ->
-        c.bc_store config (query ()) b.sol
+      | Block_solved b, Some c when b.optimal -> c.bc_store config q b.sol
       | _ -> ()
     in
     let skip =
-      match
-        zero_swap_pin ~config ~device ?fixed_initial ?fixed_final ~cyclic
-          ~blocked_finals ~post_slots circuit
-      with
+      match zero_swap_pin ~config q with
       | Some m -> Some (`Zero_swap m)
       | None ->
         Option.bind cache (fun c ->
-            Option.map (fun sol -> `Cached sol) (c.bc_find config (query ())))
+            Option.map (fun sol -> `Cached sol) (c.bc_find config q))
     in
+    let fixed_initial = q.bq_fixed_initial
+    and fixed_final = q.bq_fixed_final
+    and cyclic = q.bq_cyclic
+    and blocked_finals = q.bq_blocked_finals in
     match skip with
     | Some hit ->
       (* A cache hit or the zero-swap shortcut: neither the solver nor
@@ -529,30 +491,36 @@ let block_result_label = function
   | Block_encode_timeout -> "encode_timeout"
   | Block_too_large -> "too_large"
 
-(* Escalate the block's swap budget on unsat seams: double n until the
-   device diameter, which always suffices for a pinned initial map. *)
-let solve_block_escalating ~config ~deadline ~device ?session ?fixed_initial
-    ?fixed_final ?(cyclic = false) ?(blocked_finals = []) ?(want_post = false)
-    ?(block_ix = 0) ?(obs_args = []) circuit =
+(* A block unsatisfiable under its seam first escalates its swap budget:
+   double n up to the device diameter, which always suffices for a pinned
+   initial map alone.  A block with post slots keeps as many as its
+   budget.  Only a block still unsatisfiable at the diameter comes back
+   [Block_unsat], and only then does the walk backtrack. *)
+let solve_block_escalating ~config ~deadline ?session ~block_ix ~n_blocks q =
   let span =
     if Obs.Trace.enabled () then
       Obs.Trace.start "router.block"
         ~args:
-          (obs_args
-          @ [
-              ( "two_qubit_gates",
-                Obs.Trace.Int (Quantum.Circuit.count_two_qubit circuit) );
-              ("n_swaps", Obs.Trace.Int config.n_swaps);
-            ])
+          [
+            ("slice", Obs.Trace.Int block_ix);
+            ("n_slices", Obs.Trace.Int n_blocks);
+            ( "two_qubit_gates",
+              Obs.Trace.Int (Quantum.Circuit.count_two_qubit q.bq_slice) );
+            ("n_swaps", Obs.Trace.Int q.bq_n_swaps);
+          ]
     else Obs.Trace.null_span
   in
-  let diameter = max 1 (Arch.Device.diameter device) in
+  let diameter = max 1 (Arch.Device.diameter q.bq_device) in
   let rec attempt n escalations calls =
-    let post_slots = if want_post then n else 0 in
+    let q =
+      {
+        q with
+        bq_n_swaps = n;
+        bq_post_slots = (if q.bq_post_slots > 0 then n else 0);
+      }
+    in
     let result, c, zero_swap =
-      solve_block ~config ~deadline ~device ?session ?fixed_initial
-        ?fixed_final ~cyclic ~blocked_finals ~n_swaps_override:n ~post_slots
-        ~block_ix circuit
+      solve_block ~config ~deadline ?session ~block_ix q
     in
     match result with
     | Block_unsat when n < diameter ->
@@ -560,7 +528,7 @@ let solve_block_escalating ~config ~deadline ~device ?session ?fixed_initial
     | other -> (other, escalations, calls + c, zero_swap)
   in
   let result, escalations, solver_calls, zero_swap =
-    attempt config.n_swaps 0 0
+    attempt q.bq_n_swaps 0 0
   in
   Obs.Metrics.incr m_blocks;
   Obs.Metrics.add m_escalations escalations;
@@ -574,6 +542,142 @@ let solve_block_escalating ~config ~deadline ~device ?session ?fixed_initial
           ("escalations", Obs.Trace.Int escalations);
         ];
   (result, escalations, solver_calls)
+
+(* ------------------------------------------------------------------ *)
+(* The block walk *)
+
+(* Every route's stats come from here.  [proved_optimal]: a single
+   block solved to optimality; the blocks of a sliced route are each
+   only locally optimal, though each block's optimum is still certified
+   on its own.
+   [certified]: certification was requested, every block was solved to
+   (local) optimality and the checker accepted every block's
+   infeasibility proofs.  A vacuous report (zero proofs checked — trivial
+   routes, cost-0 optima) verified nothing, so [certified] stays false
+   however "ok" the empty aggregate looks.  [time] is left to the entry
+   guard, which stops the clock after verification. *)
+let route_stats ~config ~n_blocks ~backtracks ~escalations ~solver_calls
+    solved =
+  let all_optimal = List.for_all (fun b -> b.optimal) solved in
+  let reports = List.map (fun b -> b.cert) solved in
+  let cert =
+    if not config.certify then Maxsat.Certify.empty
+    else
+      List.fold_left
+        (fun acc r ->
+          Maxsat.Certify.merge acc
+            (Option.value ~default:Maxsat.Certify.empty r))
+        Maxsat.Certify.empty reports
+  in
+  {
+    time = 0.;
+    n_backtracks = backtracks;
+    n_blocks;
+    proved_optimal = all_optimal && n_blocks = 1;
+    escalations;
+    maxsat_iterations =
+      List.fold_left (fun acc b -> acc + b.iterations) 0 solved;
+    certified =
+      config.certify && all_optimal
+      && List.for_all Option.is_some reports
+      && Maxsat.Certify.ok cert
+      && not (Maxsat.Certify.vacuous cert);
+    proofs_checked = cert.proofs_checked;
+    proof_events = cert.trace_events;
+    certify_time = cert.check_time;
+    solver_calls;
+  }
+
+type block = {
+  circuit : Quantum.Circuit.t;
+  mutable blocked : int array list;  (** finals backtracking ruled out *)
+  mutable solution : block_solution option;
+}
+
+(* Route a sequence of blocks (Sections IV-VI).  Block 0 starts at [pin],
+   or free; every later block starts at its predecessor's final map.
+   Under [tie] (the cyclic relaxation) a lone block solves with the
+   cyclic constraint, and the last of several must end at block 0's
+   initial map; either way the last block gets post slots.  Each block's
+   deadline is its [slice_budget] share (all of it for a lone block).
+   When a block is unsatisfiable at its seam even after escalation, the
+   walk blocks the previous block's final map and re-solves that block. *)
+let drive ~config ~deadline ~device ~pin ~tie circuits =
+  let blocks =
+    Array.of_list
+      (List.map
+         (fun circuit -> { circuit; blocked = []; solution = None })
+         circuits)
+  in
+  let n = Array.length blocks in
+  let session = session_for config in
+  let backtracks = ref 0 and escalations = ref 0 and solver_calls = ref 0 in
+  let solved j =
+    match blocks.(j).solution with
+    | Some b -> b
+    | None -> failwith "Router: block unsolved"
+  in
+  let rec walk i =
+    if i = n then Ok ()
+    else begin
+      let st = blocks.(i) in
+      let last = i = n - 1 in
+      let query =
+        {
+          bq_device = device;
+          bq_slice = st.circuit;
+          bq_n_swaps = config.n_swaps;
+          bq_post_slots = (if tie && last then config.n_swaps else 0);
+          bq_cyclic = tie && n = 1;
+          bq_fixed_initial =
+            (if i = 0 then pin else Some (solved (i - 1)).sol.final);
+          bq_fixed_final =
+            (if tie && last && n > 1 then Some (solved 0).sol.initial
+             else None);
+          bq_blocked_finals = st.blocked;
+        }
+      in
+      let result, esc, calls =
+        solve_block_escalating ~config
+          ~deadline:
+            (slice_budget ~deadline ~now:(Unix.gettimeofday ())
+               ~blocks_remaining:(n - i))
+          ?session ~block_ix:i ~n_blocks:n query
+      in
+      escalations := !escalations + esc;
+      solver_calls := !solver_calls + calls;
+      match result with
+      | Block_solved b ->
+        st.solution <- Some b;
+        walk (i + 1)
+      | Block_unsat when i > 0 && !backtracks < config.backtrack_limit ->
+        incr backtracks;
+        Obs.Metrics.incr m_backtracks;
+        Obs.Trace.instant "router.backtrack"
+          ~args:[ ("slice", Obs.Trace.Int i) ];
+        let prev = blocks.(i - 1) in
+        prev.blocked <- (solved (i - 1)).sol.final :: prev.blocked;
+        prev.solution <- None;
+        walk (i - 1)
+      | Block_unsat ->
+        Error
+          (if i = 0 then "block 0 unsatisfiable"
+           else "backtracking budget exhausted")
+      | Block_timeout -> Error "timeout"
+      | Block_encode_timeout -> Error "encode timeout"
+      | Block_too_large -> Error "encoding exceeds memory guard"
+    end
+  in
+  Result.map
+    (fun () ->
+      let solved = List.init n solved in
+      ( Routed.stitch
+          (List.map2
+             (fun st b -> emit ~device ~circuit:st.circuit b.enc b.sol)
+             (Array.to_list blocks) solved),
+        route_stats ~config ~n_blocks:n ~backtracks:!backtracks
+          ~escalations:!escalations ~solver_calls:!solver_calls solved ))
+    (walk 0)
 
 (* ------------------------------------------------------------------ *)
 (* Trivial case: no two-qubit gates at all *)
@@ -591,379 +695,79 @@ let route_trivial ~device circuit =
   in
   Routed.create ~device ~initial:mapping ~final:mapping ~circuit:physical
 
-let check ~config ~original routed =
-  if config.verify then Verifier.check_exn ~original routed
-
-(* Routing-internal invariant violations — [emit]'s replay comparison,
-   block lint findings, seam bookkeeping, the post-route verifier — all
-   raise [Failure].  Catch them at the public [route_*] boundary and
-   return [Failed] so callers (and the CLI's exit-code contract) see a
-   routing failure rather than an escaped exception.  [Invalid_argument]
-   still escapes: misusing the API is the caller's bug, not a routing
-   outcome. *)
-let guard_failures f =
+(* The one entry guard of every [route_*].  It counts the route, rejects
+   a circuit that does not fit, routes a circuit without two-qubit gates
+   to the identity, and otherwise runs [walk]; a cyclic route then
+   repeats the routed body.  The verifier checks the result, and the
+   route's time includes it.  Routing-internal invariant violations —
+   [emit]'s replay comparison, block lint findings, seam bookkeeping, the
+   verifier — raise [Failure], caught here and returned as [Failed] so
+   callers (and the CLI's exit-code contract) see a routing failure
+   rather than an escaped exception.  [Invalid_argument] still escapes:
+   misusing the API is the caller's bug, not a routing outcome. *)
+let route ~config ?repetitions device circuit walk =
   Obs.Metrics.incr m_routes;
-  try f () with Failure msg -> Failed msg
+  try
+    let start = Unix.gettimeofday () in
+    if Quantum.Circuit.n_qubits circuit > Arch.Device.n_qubits device then
+      Failed "circuit does not fit on the device"
+    else
+      let walked =
+        if Quantum.Circuit.count_two_qubit circuit = 0 then
+          Ok
+            ( route_trivial ~device circuit,
+              route_stats ~config ~n_blocks:1 ~backtracks:0 ~escalations:0
+                ~solver_calls:0 [] )
+        else walk ~deadline:(start +. config.timeout)
+      in
+      match walked with
+      | Error msg -> Failed msg
+      | Ok (routed, stats) ->
+        let routed, original =
+          match repetitions with
+          | None -> (routed, circuit)
+          | Some k -> (Routed.repeat routed k, Quantum.Circuit.repeat circuit k)
+        in
+        if config.verify then Verifier.check_exn ~original routed;
+        Routed (routed, { stats with time = Unix.gettimeofday () -. start })
+  with Failure msg -> Failed msg
 
-(* ------------------------------------------------------------------ *)
-(* NL-SATMAP: monolithic *)
-
+(* NL-SATMAP: the whole circuit is one block, pinned only by [Fixed]. *)
 let route_monolithic ?(config = default_config) device circuit =
-  guard_failures @@ fun () ->
-  let start = Unix.gettimeofday () in
-  let deadline = start +. config.timeout in
-  if Quantum.Circuit.n_qubits circuit > Arch.Device.n_qubits device then
-    Failed "circuit does not fit on the device"
-  else if Quantum.Circuit.count_two_qubit circuit = 0 then begin
-    let routed = route_trivial ~device circuit in
-    check ~config ~original:circuit routed;
-    let certified, proofs_checked, proof_events, certify_time =
-      cert_fields ~config ~all_optimal:true []
-    in
-    Routed
-      ( routed,
-        {
-          time = Unix.gettimeofday () -. start;
-          n_backtracks = 0;
-          n_blocks = 1;
-          proved_optimal = true;
-          escalations = 0;
-          maxsat_iterations = 0;
-          certified;
-          proofs_checked;
-          proof_events;
-          certify_time;
-          solver_calls = 0;
-        } )
-  end
-  else begin
-    let session = session_for config in
-    let result, escalations, solver_calls =
-      solve_block_escalating ~config ~deadline ~device ?session
-        ?fixed_initial:
-          (match config.placement with Fixed a -> Some a | Free | Qap -> None)
-        circuit
-    in
-    match result with
-    | Block_solved b ->
-      let routed = emit ~device ~circuit b.enc b.sol in
-      check ~config ~original:circuit routed;
-      let certified, proofs_checked, proof_events, certify_time =
-        cert_fields ~config ~all_optimal:b.optimal [ b.cert ]
+  route ~config device circuit (fun ~deadline ->
+      let pin =
+        match config.placement with Fixed a -> Some a | Free | Qap -> None
       in
-      Routed
-        ( routed,
-          {
-            time = Unix.gettimeofday () -. start;
-            n_backtracks = 0;
-            n_blocks = 1;
-            proved_optimal = b.optimal;
-            escalations;
-            maxsat_iterations = b.iterations;
-            certified;
-            proofs_checked;
-            proof_events;
-            certify_time;
-            solver_calls;
-          } )
-    | Block_unsat -> Failed "unsatisfiable encoding"
-    | Block_timeout -> Failed "timeout"
-    | Block_encode_timeout -> Failed "encode timeout"
-    | Block_too_large -> Failed "encoding exceeds memory guard"
-  end
+      drive ~config ~deadline ~device ~pin ~tie:false [ circuit ])
 
-(* ------------------------------------------------------------------ *)
-(* SATMAP: sliced with backtracking *)
-
-type slice_state = {
-  slice : Quantum.Circuit.t;
-  mutable blocked : int array list;
-  mutable solution : block_solution option;
-}
-
+(* SATMAP: the slices, block 0 pinned by the placement.  Place before
+   slicing: one block's free optimum is already the global optimum, so
+   only a multi-slice route takes the QAP pin. *)
 let route_sliced ?(config = default_config) ~slice_size device circuit =
-  guard_failures @@ fun () ->
-  let start = Unix.gettimeofday () in
-  let deadline = start +. config.timeout in
-  if Quantum.Circuit.n_qubits circuit > Arch.Device.n_qubits device then
-    Failed "circuit does not fit on the device"
-  else if Quantum.Circuit.count_two_qubit circuit = 0 then
-    route_monolithic ~config device circuit
-  else begin
-    let slices =
-      Array.of_list
-        (List.map
-           (fun s -> { slice = s; blocked = []; solution = None })
-           (Quantum.Circuit.slice_by_two_qubit circuit ~slice_size))
-    in
-    let n = Array.length slices in
-    (* Place before slicing: one block's free optimum is already the
-       global optimum, so only a multi-slice route takes the QAP pin. *)
-    let pin =
-      match config.placement with
-      | Fixed a -> Some a
-      | Qap when n > 1 -> Some (Placement.place device circuit)
-      | Qap | Free -> None
-    in
-    let session = session_for config in
-    let backtracks = ref 0 in
-    let escalations = ref 0 in
-    let solver_calls = ref 0 in
-    let failure = ref None in
-    let i = ref 0 in
-    while !failure = None && !i < n do
-      let st = slices.(!i) in
-      let fixed_initial =
-        if !i = 0 then pin
-        else
-          match slices.(!i - 1).solution with
-          | Some b -> Some b.sol.final
-          | None -> failwith "Router: previous slice unsolved"
+  route ~config device circuit (fun ~deadline ->
+      let slices = Quantum.Circuit.slice_by_two_qubit circuit ~slice_size in
+      let pin =
+        match config.placement with
+        | Fixed a -> Some a
+        | Qap when List.compare_length_with slices 1 > 0 ->
+          Some (Placement.place device circuit)
+        | Qap | Free -> None
       in
-      let block_deadline =
-        slice_budget ~deadline ~now:(Unix.gettimeofday ())
-          ~blocks_remaining:(n - !i)
-      in
-      let result, esc, calls =
-        solve_block_escalating ~config ~deadline:block_deadline ~device
-          ?session ?fixed_initial ~blocked_finals:st.blocked ~block_ix:!i
-          ~obs_args:
-            [ ("slice", Obs.Trace.Int !i); ("n_slices", Obs.Trace.Int n) ]
-          st.slice
-      in
-      escalations := !escalations + esc;
-      solver_calls := !solver_calls + calls;
-      match result with
-      | Block_solved b ->
-        st.solution <- Some b;
-        incr i
-      | Block_unsat ->
-        if !i = 0 then failure := Some "slice 0 unsatisfiable"
-        else if !backtracks >= config.backtrack_limit then
-          failure := Some "backtracking budget exhausted"
-        else begin
-          (* Block the previous slice's final map and re-solve it. *)
-          incr backtracks;
-          Obs.Metrics.incr m_backtracks;
-          Obs.Trace.instant "router.backtrack"
-            ~args:[ ("slice", Obs.Trace.Int !i) ];
-          let prev = slices.(!i - 1) in
-          (match prev.solution with
-          | Some b -> prev.blocked <- b.sol.final :: prev.blocked
-          | None -> failwith "Router: previous slice unsolved");
-          prev.solution <- None;
-          decr i
-        end
-      | Block_timeout -> failure := Some "timeout"
-      | Block_encode_timeout -> failure := Some "encode timeout"
-      | Block_too_large -> failure := Some "encoding exceeds memory guard"
-    done;
-    match !failure with
-    | Some msg -> Failed msg
-    | None ->
-      let segments = ref [] in
-      let all_optimal = ref true in
-      let iterations = ref 0 in
-      let certs = ref [] in
-      Array.iter
-        (fun st ->
-          match st.solution with
-          | Some b ->
-            if not b.optimal then all_optimal := false;
-            iterations := !iterations + b.iterations;
-            certs := b.cert :: !certs;
-            segments := emit ~device ~circuit:st.slice b.enc b.sol :: !segments
-          | None -> failwith "Router: unsolved slice after success")
-        slices;
-      let routed = Routed.stitch (List.rev !segments) in
-      check ~config ~original:circuit routed;
-      let proved_optimal = !all_optimal && n = 1 in
-      let certified, proofs_checked, proof_events, certify_time =
-        cert_fields ~config ~all_optimal:!all_optimal !certs
-      in
-      Routed
-        ( routed,
-          {
-            time = Unix.gettimeofday () -. start;
-            n_backtracks = !backtracks;
-            n_blocks = n;
-            proved_optimal;
-            escalations = !escalations;
-            maxsat_iterations = !iterations;
-            certified;
-            proofs_checked;
-            proof_events;
-            certify_time;
-            solver_calls = !solver_calls;
-          } )
-  end
+      drive ~config ~deadline ~device ~pin ~tie:false slices)
 
-(* ------------------------------------------------------------------ *)
-(* CYC-SATMAP: cyclic relaxation *)
-
+(* CYC-SATMAP: the body, or its slices (Section VI composed with Section
+   V), tied back to block 0's free initial map, then repeated. *)
 let route_cyclic_body ?(config = default_config) ?slice_size ~repetitions
     device body =
   if repetitions < 1 then invalid_arg "Router.route_cyclic_body";
-  guard_failures @@ fun () ->
-  let start = Unix.gettimeofday () in
-  let deadline = start +. config.timeout in
-  if Quantum.Circuit.n_qubits body > Arch.Device.n_qubits device then
-    Failed "circuit does not fit on the device"
-  else if Quantum.Circuit.count_two_qubit body = 0 then
-    route_monolithic ~config device (Quantum.Circuit.repeat body repetitions)
-  else begin
-    let finish ~stats routed_body =
-      let routed = Routed.repeat routed_body repetitions in
-      check ~config
-        ~original:(Quantum.Circuit.repeat body repetitions)
-        routed;
-      Routed (routed, stats)
-    in
-    match slice_size with
-    | None -> (
-      (* Monolithic body with the cyclic tie and post slots. *)
-      let session = session_for config in
-      let result, escalations, solver_calls =
-        solve_block_escalating ~config ~deadline ~device ?session ~cyclic:true
-          ~want_post:true body
+  route ~config ~repetitions device body (fun ~deadline ->
+      let blocks =
+        match slice_size with
+        | None -> [ body ]
+        | Some slice_size ->
+          Quantum.Circuit.slice_by_two_qubit body ~slice_size
       in
-      match result with
-      | Block_solved b ->
-        let certified, proofs_checked, proof_events, certify_time =
-          cert_fields ~config ~all_optimal:b.optimal [ b.cert ]
-        in
-        finish
-          ~stats:
-            {
-              time = Unix.gettimeofday () -. start;
-              n_backtracks = 0;
-              n_blocks = 1;
-              proved_optimal = b.optimal;
-              escalations;
-              maxsat_iterations = b.iterations;
-              certified;
-              proofs_checked;
-              proof_events;
-              certify_time;
-              solver_calls;
-            }
-          (emit ~device ~circuit:body b.enc b.sol)
-      | Block_unsat -> Failed "cyclic encoding unsatisfiable"
-      | Block_timeout -> Failed "timeout"
-      | Block_encode_timeout -> Failed "encode timeout"
-      | Block_too_large -> Failed "encoding exceeds memory guard")
-    | Some slice_size -> (
-      (* Sliced body: slice 0's initial map is recorded and the last slice
-         must return to it (Section VI composed with Section V). *)
-      let slices =
-        Array.of_list
-          (List.map
-             (fun s -> { slice = s; blocked = []; solution = None })
-             (Quantum.Circuit.slice_by_two_qubit body ~slice_size))
-      in
-      let n = Array.length slices in
-      let session = session_for config in
-      let backtracks = ref 0 in
-      let escalations = ref 0 in
-      let solver_calls = ref 0 in
-      let failure = ref None in
-      let i = ref 0 in
-      while !failure = None && !i < n do
-        let st = slices.(!i) in
-        let fixed_initial =
-          if !i = 0 then None
-          else
-            match slices.(!i - 1).solution with
-            | Some b -> Some b.sol.final
-            | None -> failwith "Router: previous slice unsolved"
-        in
-        let fixed_final =
-          if !i < n - 1 then None
-          else if n = 1 then None (* cyclic flag handles the single slice *)
-          else
-            match slices.(0).solution with
-            | Some b -> Some b.sol.initial
-            | None -> failwith "Router: slice 0 unsolved"
-        in
-        let cyclic = n = 1 && !i = 0 in
-        let want_post = !i = n - 1 in
-        let block_deadline =
-          slice_budget ~deadline ~now:(Unix.gettimeofday ())
-            ~blocks_remaining:(n - !i)
-        in
-        let result, esc, calls =
-          solve_block_escalating ~config ~deadline:block_deadline ~device
-            ?session ?fixed_initial ?fixed_final ~cyclic
-            ~blocked_finals:st.blocked ~want_post ~block_ix:!i
-            ~obs_args:
-              [ ("slice", Obs.Trace.Int !i); ("n_slices", Obs.Trace.Int n) ]
-            st.slice
-        in
-        escalations := !escalations + esc;
-        solver_calls := !solver_calls + calls;
-        match result with
-        | Block_solved b ->
-          st.solution <- Some b;
-          incr i
-        | Block_unsat ->
-          if !i = 0 then failure := Some "slice 0 unsatisfiable"
-          else if !backtracks >= config.backtrack_limit then
-            failure := Some "backtracking budget exhausted"
-          else begin
-            incr backtracks;
-            Obs.Metrics.incr m_backtracks;
-            Obs.Trace.instant "router.backtrack"
-              ~args:[ ("slice", Obs.Trace.Int !i) ];
-            let prev = slices.(!i - 1) in
-            (match prev.solution with
-            | Some b -> prev.blocked <- b.sol.final :: prev.blocked
-            | None -> failwith "Router: previous slice unsolved");
-            prev.solution <- None;
-            decr i
-          end
-        | Block_timeout -> failure := Some "timeout"
-        | Block_encode_timeout -> failure := Some "encode timeout"
-        | Block_too_large -> failure := Some "encoding exceeds memory guard"
-      done;
-      match !failure with
-      | Some msg -> Failed msg
-      | None ->
-        let segments = ref [] in
-        let all_optimal = ref true in
-        let iterations = ref 0 in
-        let certs = ref [] in
-        Array.iter
-          (fun st ->
-            match st.solution with
-            | Some b ->
-              if not b.optimal then all_optimal := false;
-              iterations := !iterations + b.iterations;
-              certs := b.cert :: !certs;
-              segments :=
-                emit ~device ~circuit:st.slice b.enc b.sol :: !segments
-            | None -> failwith "Router: unsolved slice after success")
-          slices;
-        let routed_body = Routed.stitch (List.rev !segments) in
-        let certified, proofs_checked, proof_events, certify_time =
-          cert_fields ~config ~all_optimal:!all_optimal !certs
-        in
-        finish
-          ~stats:
-            {
-              time = Unix.gettimeofday () -. start;
-              n_backtracks = !backtracks;
-              n_blocks = n;
-              proved_optimal = false;
-              escalations = !escalations;
-              maxsat_iterations = !iterations;
-              certified;
-              proofs_checked;
-              proof_events;
-              certify_time;
-              solver_calls = !solver_calls;
-            }
-          routed_body)
-  end
+      drive ~config ~deadline ~device ~pin:None ~tie:true blocks)
 
 (* Auto-detect the repeated body. *)
 let route_cyclic ?(config = default_config) ?slice_size device circuit =

@@ -9,6 +9,12 @@
     - {!route_portfolio}: try several slice sizes, report the cheapest
       (how the paper runs SATMAP).
 
+    The first three share one block-sequence driver: monolithic routing
+    is one block, sliced routing is the slices, and the cyclic
+    relaxation ties the last block back to block 0's initial map.  A
+    route is [proved_optimal] when it is a single block solved to
+    optimality.
+
     All routers are anytime: a deadline mid-descent yields the best
     solution found so far, flagged as not proved optimal.
 
@@ -137,10 +143,12 @@ and block_cache = {
 val default_config : config
 
 type stats = {
-  time : float;
+  time : float;  (** seconds for the whole route, verification included *)
   n_backtracks : int;
   n_blocks : int;
   proved_optimal : bool;
+      (** a single block solved to optimality; the blocks of a
+          multi-block route are only locally optimal *)
   escalations : int;
   maxsat_iterations : int;
   certified : bool;
@@ -196,7 +204,7 @@ type block_result =
   | Block_too_large
 
 val slice_budget : deadline:float -> now:float -> blocks_remaining:int -> float
-(** The per-block deadline the sliced routers give the next block:
+(** The per-block deadline the block walk gives the next block:
     [min deadline (now + max 0.1 ((deadline - now) / blocks_remaining))] —
     the remaining budget split evenly over the remaining blocks, floored
     at 0.1 s so a knife-edge remainder cannot starve a block
@@ -222,28 +230,24 @@ val classify_block_result :
 val solve_block :
   config:config ->
   deadline:float ->
-  device:Arch.Device.t ->
   ?session:Encoding.Session.t ->
-  ?fixed_initial:int array ->
-  ?fixed_final:int array ->
-  ?cyclic:bool ->
-  ?blocked_finals:int array list ->
-  ?n_swaps_override:int ->
-  ?post_slots:int ->
   ?block_ix:int ->
-  Quantum.Circuit.t ->
+  block_query ->
   block_result * int * bool
-(** Solve one block under its seam constraints, as both drivers do: the
-    zero-swap shortcut, else the block cache, else the incremental
-    session or a from-scratch build.  Returns the result, the
-    {!Maxsat.Optimizer} calls paid (0 for a shortcut or a cache hit), and
-    whether the zero-swap shortcut answered.  The shortcut answers exactly
-    when [fixed_initial] is [Some m]; there is no [fixed_final], no
-    [cyclic] tie and no [post_slots]; [m] is not among [blocked_finals];
-    the objective is [Count_swaps]; the config may skip the solver (no
-    [certify], [lint_blocks] or [fault_injection], as for the block
-    cache); and every two-qubit gate sits on a device edge under [m].  It
-    returns the forced optimum: no SWAP, final map [m]. *)
+(** Solve one block as the block-sequence driver does: the zero-swap
+    shortcut, else the block cache, else the incremental session or a
+    from-scratch build.  The query is the whole description — the block
+    cache is keyed on the same value the solve reads.  [block_ix]
+    (default 0) is what [config.on_improvement] reports.  Returns the
+    result, the {!Maxsat.Optimizer} calls paid (0 for a shortcut or a
+    cache hit), and whether the zero-swap shortcut answered.  The
+    shortcut answers exactly when [bq_fixed_initial] is [Some m]; there
+    is no [bq_fixed_final], no [bq_cyclic] tie and no [bq_post_slots];
+    [m] is not among [bq_blocked_finals]; the objective is
+    [Count_swaps]; the config may skip the solver (no [certify],
+    [lint_blocks] or [fault_injection], as for the block cache); and
+    every two-qubit gate sits on a device edge under [m].  It returns
+    the forced optimum: no SWAP, final map [m]. *)
 
 val emit :
   device:Arch.Device.t ->

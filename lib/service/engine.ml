@@ -77,11 +77,13 @@ let err id code message = Protocol.Error_response { id; code; message }
    cached reply must never cross engines (the v1 -> v2 prefix bump
    retires pre-engine persisted entries wholesale rather than risking a
    collision with them).  The v2 -> v3 bump retires entries routed with a
-   free slice 0, from before the QAP placement became the default. *)
+   free slice 0, from before the QAP placement became the default.  The
+   v3 -> v4 bump retires one-slice cyclic replies labelled not optimal,
+   from before every single-block route was labelled alike. *)
 let request_key (req : Protocol.request) config device canon_circuit =
   Canon.digest_parts
     [
-      "satmap-serve/v3";
+      "satmap-serve/v4";
       "engine:" ^ req.engine;
       Canon.device_digest device;
       Canon.config_digest config;
@@ -168,6 +170,28 @@ let finalize (p : prepared) (stored : Protocol.ok_payload) ~cache_hit
     ok_time = time;
   }
 
+(* The reply for a fresh routing, stored in canonical space with neutral
+   identity/timing fields; [finalize] fills them per caller. *)
+let canonical_payload routed ~blocks ~backtracks ~proved_optimal ~iterations
+    ~solver_calls =
+  {
+    Protocol.ok_id = "";
+    ok_qasm = Quantum.Qasm.to_string (Satmap.Routed.circuit routed);
+    ok_initial = Satmap.Mapping.to_array (Satmap.Routed.initial routed);
+    ok_final = Satmap.Mapping.to_array (Satmap.Routed.final routed);
+    ok_swaps = Satmap.Routed.n_swaps routed;
+    ok_added_cnots = Satmap.Routed.added_cnots routed;
+    ok_depth = Satmap.Routed.depth routed;
+    ok_blocks = blocks;
+    ok_backtracks = backtracks;
+    ok_proved_optimal = proved_optimal;
+    ok_maxsat_iterations = iterations;
+    ok_solver_calls = solver_calls;
+    ok_cache_hit = false;
+    ok_coalesced = false;
+    ok_time = 0.;
+  }
+
 let route_canonical (req : Protocol.request) config device canon =
   match req.method_ with
   | Protocol.Monolithic -> Satmap.Router.route_monolithic ~config device canon
@@ -215,98 +239,60 @@ let handle_prepared ?deadline ?on_progress t (p : prepared) =
     in
     match cached with
     | Some stored -> Ok (stored, true)
-    | None when req.engine <> Protocol.default_request.engine -> (
-      (* Non-default engines dispatch through the registry (which
-         verifies the output).  Warm sessions and the block cache are
-         MaxSAT internals, so they are skipped; the result still lands
-         in the request cache under the engine-tagged key. *)
-      let ecfg =
-        {
-          Engines.Registry.default_config with
-          timeout = budget;
-          n_swaps = req.n_swaps;
-          slice_size = Option.value req.slice_size ~default:25;
-          objective = objective_of req p.p_device;
-        }
-      in
-      match
-        Engines.Catalog.route ~engine:req.engine p.p_device p.p_canon ecfg
-      with
-      | Error msg -> Error (err req.id Protocol.Routing_failed msg)
-      | Ok (routed, meta) ->
-        let canonical_payload =
-          {
-            Protocol.ok_id = "";
-            ok_qasm = Quantum.Qasm.to_string (Satmap.Routed.circuit routed);
-            ok_initial = Satmap.Mapping.to_array (Satmap.Routed.initial routed);
-            ok_final = Satmap.Mapping.to_array (Satmap.Routed.final routed);
-            ok_swaps = Satmap.Routed.n_swaps routed;
-            ok_added_cnots = Satmap.Routed.added_cnots routed;
-            ok_depth = Satmap.Routed.depth routed;
-            ok_blocks = 1;
-            ok_backtracks = 0;
-            ok_proved_optimal = meta.Engines.Registry.m_optimal;
-            ok_maxsat_iterations = 0;
-            ok_solver_calls = 0;
-            ok_cache_hit = false;
-            ok_coalesced = false;
-            ok_time = 0.;
-          }
-        in
-        if req.use_cache then
-          Cache.add t.serve_cache p.p_key canonical_payload;
-        Ok (canonical_payload, false))
     | None -> (
-      (* Warm the incremental session from the cross-request pool when
-         this config would use one at all; the session is exclusively
-         owned for the duration of the route and parked again after,
-         solver state (skeleton clauses, learnt clauses, descent-bound
-         selectors) intact for the next request of the same shape. *)
-      let route config =
-        match Satmap.Router.session_for config with
-        | None -> route_canonical req config p.p_device p.p_canon
-        | Some _ ->
-          let wkey =
-            Warm.key ~device:p.p_device ~config ~n_swaps:req.n_swaps
+      let payload =
+        if req.engine <> Protocol.default_request.engine then
+          (* Non-default engines dispatch through the registry (which
+             verifies the output).  Warm sessions and the block cache are
+             MaxSAT internals, so they are skipped; the result still lands
+             in the request cache under the engine-tagged key. *)
+          Engines.Catalog.route ~engine:req.engine p.p_device p.p_canon
+            {
+              Engines.Registry.default_config with
+              timeout = budget;
+              n_swaps = req.n_swaps;
+              slice_size = Option.value req.slice_size ~default:25;
+              objective = objective_of req p.p_device;
+            }
+          |> Result.map (fun (routed, meta) ->
+                 canonical_payload routed ~blocks:1 ~backtracks:0
+                   ~proved_optimal:meta.Engines.Registry.m_optimal
+                   ~iterations:0 ~solver_calls:0)
+        else
+          (* Warm the incremental session from the cross-request pool when
+             this config would use one at all; the session is exclusively
+             owned for the duration of the route and parked again after,
+             solver state (skeleton clauses, learnt clauses, descent-bound
+             selectors) intact for the next request of the same shape. *)
+          let route config =
+            match Satmap.Router.session_for config with
+            | None -> route_canonical req config p.p_device p.p_canon
+            | Some _ ->
+              let wkey =
+                Warm.key ~device:p.p_device ~config ~n_swaps:req.n_swaps
+              in
+              let session = Warm.acquire t.warm ~key:wkey in
+              Fun.protect
+                ~finally:(fun () -> Warm.release t.warm ~key:wkey session)
+                (fun () ->
+                  route_canonical req
+                    { config with warm_session = Some session }
+                    p.p_device p.p_canon)
           in
-          let session = Warm.acquire t.warm ~key:wkey in
-          Fun.protect
-            ~finally:(fun () -> Warm.release t.warm ~key:wkey session)
-            (fun () ->
-              route_canonical req
-                { config with warm_session = Some session }
-                p.p_device p.p_canon)
+          match route config with
+          | exception e -> Error (Printexc.to_string e)
+          | Satmap.Router.Failed msg -> Error msg
+          | Satmap.Router.Routed (routed, s) ->
+            Ok
+              (canonical_payload routed ~blocks:s.n_blocks
+                 ~backtracks:s.n_backtracks ~proved_optimal:s.proved_optimal
+                 ~iterations:s.maxsat_iterations ~solver_calls:s.solver_calls)
       in
-      match route config with
-      | exception e ->
-        Error (err req.id Protocol.Routing_failed (Printexc.to_string e))
-      | Satmap.Router.Failed msg ->
-        Error (err req.id Protocol.Routing_failed msg)
-      | Satmap.Router.Routed (routed, stats) ->
-        (* Stored in canonical space with neutral identity/timing
-           fields; [finalize] fills them per caller. *)
-        let canonical_payload =
-          {
-            Protocol.ok_id = "";
-            ok_qasm = Quantum.Qasm.to_string (Satmap.Routed.circuit routed);
-            ok_initial = Satmap.Mapping.to_array (Satmap.Routed.initial routed);
-            ok_final = Satmap.Mapping.to_array (Satmap.Routed.final routed);
-            ok_swaps = Satmap.Routed.n_swaps routed;
-            ok_added_cnots = Satmap.Routed.added_cnots routed;
-            ok_depth = Satmap.Routed.depth routed;
-            ok_blocks = stats.Satmap.Router.n_blocks;
-            ok_backtracks = stats.Satmap.Router.n_backtracks;
-            ok_proved_optimal = stats.Satmap.Router.proved_optimal;
-            ok_maxsat_iterations = stats.Satmap.Router.maxsat_iterations;
-            ok_solver_calls = stats.Satmap.Router.solver_calls;
-            ok_cache_hit = false;
-            ok_coalesced = false;
-            ok_time = 0.;
-          }
-        in
-        if req.use_cache then
-          Cache.add t.serve_cache p.p_key canonical_payload;
-        Ok (canonical_payload, false))
+      match payload with
+      | Error msg -> Error (err req.id Protocol.Routing_failed msg)
+      | Ok payload ->
+        if req.use_cache then Cache.add t.serve_cache p.p_key payload;
+        Ok (payload, false))
   end
 
 let handle ?deadline ?on_progress t (req : Protocol.request) =

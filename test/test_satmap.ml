@@ -536,7 +536,22 @@ let test_router_backtracking_seam () =
          circuit)
   in
   Alcotest.(check bool) "verifies" true
-    (Satmap.Verifier.is_valid ~original:circuit r)
+    (Satmap.Verifier.is_valid ~original:circuit r);
+  (* Seven logical qubits on a ring of seven, sliced at one gate: the
+     tied last block cannot reach block 0's initial map, so the walk
+     backtracks. *)
+  let body =
+    Quantum.Circuit.create ~n_qubits:7
+      [ cx 4 5; cx 6 3; cx 0 5; cx 6 4; cx 3 4; cx 6 1; cx 6 2 ]
+  in
+  let r, s =
+    get_routed
+      (Satmap.Router.route_cyclic_body ~config:quick_config ~slice_size:1
+         ~repetitions:2 (Arch.Topologies.ring 7) body)
+  in
+  Alcotest.(check bool) "backtracked" true (s.n_backtracks > 0);
+  Alcotest.(check bool) "cyclic routing verifies" true
+    (Satmap.Verifier.is_valid ~original:(Quantum.Circuit.repeat body 2) r)
 
 let test_router_certified_optimum () =
   (* With certification on, every infeasible bound in the descent carries
@@ -633,6 +648,71 @@ let test_router_cyclic_body () =
     (Satmap.Verifier.is_valid ~original r);
   (* Swaps scale linearly with repetitions. *)
   Alcotest.(check int) "multiple of 3" 0 (Satmap.Routed.n_swaps r mod 3)
+
+(* A cyclic body that fits in one slice is the same single block as the
+   unsliced body: the same instance, the same routing and the same
+   optimality label. *)
+let test_router_cyclic_one_slice () =
+  let device = Arch.Topologies.ring 6 in
+  List.iter
+    (fun (n, seed) ->
+      let graph, _ = Qaoa.Build.maxcut_3_regular ~seed ~n ~cycles:1 in
+      let body = Qaoa.Build.body graph in
+      let route ?slice_size () =
+        get_routed
+          (Satmap.Router.route_cyclic_body ~config:quick_config ?slice_size
+             ~repetitions:2 device body)
+      in
+      let r, s = route () in
+      let r', s' = route ~slice_size:100 () in
+      let name = Printf.sprintf "qaoa %dq g%d" n seed in
+      Alcotest.(check int) (name ^ " one block") 1 s'.n_blocks;
+      Alcotest.(check string) (name ^ " same routing")
+        (Quantum.Qasm.to_string (Satmap.Routed.circuit r))
+        (Quantum.Qasm.to_string (Satmap.Routed.circuit r'));
+      Alcotest.(check bool) (name ^ " unsliced optimal") true
+        s.proved_optimal;
+      Alcotest.(check bool) (name ^ " same label") s.proved_optimal
+        s'.proved_optimal)
+    [ (4, 1); (6, 2) ]
+
+let m_routes = Obs.Metrics.counter "router.routes"
+
+(* Every entry point counts one route, also for a circuit without
+   two-qubit gates. *)
+let test_router_route_count () =
+  let device, example = running_example () in
+  let trivial =
+    Quantum.Circuit.create ~n_qubits:2 [ Quantum.Gate.h 0; Quantum.Gate.h 1 ]
+  in
+  List.iter
+    (fun (what, circuit) ->
+      List.iter
+        (fun (entry, route) ->
+          let before = Obs.Metrics.value m_routes in
+          ignore (get_routed (route circuit));
+          Alcotest.(check int)
+            (Printf.sprintf "%s, %s" entry what)
+            1
+            (Obs.Metrics.value m_routes - before))
+        [
+          ( "monolithic",
+            Satmap.Router.route_monolithic ~config:quick_config device );
+          ( "sliced",
+            Satmap.Router.route_sliced ~config:quick_config ~slice_size:2
+              device );
+          ( "cyclic body",
+            Satmap.Router.route_cyclic_body ~config:quick_config
+              ~repetitions:2 device );
+          ( "sliced cyclic body",
+            Satmap.Router.route_cyclic_body ~config:quick_config ~slice_size:2
+              ~repetitions:2 device );
+          ( "cyclic",
+            fun c ->
+              Satmap.Router.route_cyclic ~config:quick_config device
+                (Quantum.Circuit.repeat c 2) );
+        ])
+    [ ("no two-qubit gates", trivial); ("running example", example) ]
 
 let test_router_cyclic_autodetect () =
   let device, body = running_example () in
@@ -858,10 +938,20 @@ let prop_zero_swap_matches_solver =
             Satmap.Router.route_sliced ~config ~slice_size:3 device circuit);
         ])
 
-let solve_pinned ?(config = quick_config) ?blocked_finals device pin circuit =
+let solve_pinned ?(config = quick_config) ?(blocked_finals = []) device pin
+    circuit =
   Satmap.Router.solve_block ~config
     ~deadline:(Unix.gettimeofday () +. 20.)
-    ~device ~fixed_initial:pin ?blocked_finals circuit
+    {
+      bq_device = device;
+      bq_slice = circuit;
+      bq_n_swaps = config.n_swaps;
+      bq_post_slots = 0;
+      bq_cyclic = false;
+      bq_fixed_initial = Some pin;
+      bq_fixed_final = None;
+      bq_blocked_finals = blocked_finals;
+    }
 
 let test_zero_swap_blocked_pin () =
   (* Blocking the pin forbids the forced final map, so the block must go
@@ -1035,6 +1125,10 @@ let suite =
         Alcotest.test_case "cyclic body" `Quick test_router_cyclic_body;
         Alcotest.test_case "cyclic autodetect" `Quick
           test_router_cyclic_autodetect;
+        Alcotest.test_case "one-slice cyclic = unsliced" `Quick
+          test_router_cyclic_one_slice;
+        Alcotest.test_case "one route count per entry" `Quick
+          test_router_route_count;
         Alcotest.test_case "portfolio" `Quick test_router_portfolio;
         Alcotest.test_case "parallel portfolio" `Quick
           test_router_parallel_portfolio;

@@ -9,12 +9,19 @@
    of the routed circuit.  A kernel change that drifts any of them changes
    the search, not just its speed, and must say so by re-recording.
 
-   The routes use the free placement, so the router's default slice-0 pin
-   does not move them.  One route row was re-recorded for a router change
-   that kept the search: the zero-swap shortcut answers two of
-   adder-12q-098's blocks, each a single zero-conflict solve before, so
+   The [route] rows use the free placement, so the router's default
+   slice-0 pin does not move them.  One route row was re-recorded for a
+   router change that kept the search: the zero-swap shortcut answers two
+   of adder-12q-098's blocks, each a single zero-conflict solve before, so
    that route makes 52 solves instead of 54 with fewer decisions and
-   propagations; its conflicts, learnt, deleted and MD5 are unchanged. *)
+   propagations; its conflicts, learnt, deleted and MD5 are unchanged.
+
+   A second group pins every configuration of the router's block walk the
+   routes above do not reach: the default slice-0 placement pin, the
+   cyclic relaxation sliced and unsliced (once with a tied last block that
+   escalates its budget, once with seam backtracking), and the monolithic
+   route.  Its rows were recorded before the four copies of the walk
+   became one, a refactor that promised to keep every search. *)
 
 let lit ?sign v = Sat.Lit.of_var ?sign v
 
@@ -109,32 +116,35 @@ let test_random seed expected () =
 
 let m_solves = Obs.Metrics.counter "sat.solves"
 
-let route_trajectory name =
-  let b =
-    List.find
-      (fun (b : Workloads.Suite.benchmark) -> b.name = name)
-      (Workloads.Suite.full ())
-  in
-  let device = Arch.Topologies.tokyo () in
-  (* The free placement: the test guards the CDCL kernel, not the
-     router's default slice-0 pin. *)
-  let config =
-    {
-      Satmap.Router.default_config with
-      timeout = 300.0;
-      placement = Satmap.Router.Free;
-    }
-  in
+let suite_circuit name =
+  (List.find
+     (fun (b : Workloads.Suite.benchmark) -> b.name = name)
+     (Workloads.Suite.full ()))
+    .circuit
+
+let qaoa_body ~n ~seed =
+  Qaoa.Build.body (fst (Qaoa.Build.maxcut_3_regular ~seed ~n ~cycles:1))
+
+(* The free placement: the kernel rows guard the CDCL kernel, not the
+   router's default slice-0 pin. *)
+let free_config =
+  {
+    Satmap.Router.default_config with
+    timeout = 300.0;
+    placement = Satmap.Router.Free;
+  }
+
+let default_config = { Satmap.Router.default_config with timeout = 300.0 }
+
+let route_trajectory ~config route =
   Alcotest.(check bool) "session path" true
     (Satmap.Router.session_for config <> None);
   let solves0 = Obs.Metrics.value m_solves in
   let t0 = Sat.Solver.totals () in
-  let outcome =
-    Satmap.Router.route_sliced ~config ~slice_size:10 device b.circuit
-  in
+  let outcome = route config in
   let d = Sat.Solver.sub_totals (Sat.Solver.totals ()) t0 in
   match outcome with
-  | Satmap.Router.Failed msg -> Alcotest.failf "%s: %s" name msg
+  | Satmap.Router.Failed msg -> Alcotest.failf "%s" msg
   | Satmap.Router.Routed (routed, _) ->
     ( Digest.to_hex
         (Digest.string (Quantum.Qasm.to_string (Satmap.Routed.circuit routed))),
@@ -145,13 +155,25 @@ let route_trajectory name =
         d.total_learnts,
         d.total_deleted ) )
 
-let test_route name expected () =
-  let digest, counts = route_trajectory name in
+let test_route ~config route name expected () =
+  let digest, counts = route_trajectory ~config route in
   let show (md5, (n, c, dd, p, l, x)) =
     Printf.sprintf "(%S, (%d, %d, %d, %d, %d, %d))" md5 n c dd p l x
   in
   Alcotest.check (of_show show)
     name expected (digest, counts)
+
+(* Seven logical qubits on seven physical ones: sliced at one gate, the
+   tied last block cannot reach block 0's initial map, and the walk
+   backtracks four times. *)
+let backtracking_body =
+  let cx = Quantum.Gate.cx in
+  Quantum.Circuit.create ~n_qubits:7
+    [ cx 4 5; cx 6 3; cx 0 5; cx 6 4; cx 3 4; cx 6 1; cx 6 2 ]
+
+let sliced_tokyo name config =
+  Satmap.Router.route_sliced ~config ~slice_size:10
+    (Arch.Topologies.tokyo ()) (suite_circuit name)
 
 let () =
   Alcotest.run "trajectory"
@@ -194,7 +216,9 @@ let () =
       ( "route",
         List.map
           (fun (name, expected) ->
-            Alcotest.test_case name `Quick (test_route name expected))
+            Alcotest.test_case name `Quick
+              (test_route ~config:free_config (sliced_tokyo name) name
+                 expected))
           [
             ( "local-5q-078",
               ( "398ff3873b97c4ec82fdfc5d83f0607b",
@@ -205,5 +229,50 @@ let () =
             ( "adder-12q-098",
               ( "725ebb83a33efc5a393ec5f89df2b2ac",
                 (52, 2554, 22777, 2436760, 2554, 998) ) );
+          ] );
+      ( "walk",
+        List.map
+          (fun (name, route, expected) ->
+            Alcotest.test_case name `Quick
+              (test_route ~config:default_config route name expected))
+          [
+            ( "qap toffoli-9q-116",
+              sliced_tokyo "toffoli-9q-116",
+              ( "e93437f5c78409785056358bffb2b688",
+                (35, 1336, 13504, 856661, 1336, 0) ) );
+            ( "cyclic sliced qaoa-10q-g5",
+              (fun config ->
+                Satmap.Router.route_cyclic_body ~config ~slice_size:10
+                  ~repetitions:2 (Arch.Topologies.tokyo ())
+                  (qaoa_body ~n:10 ~seed:5)),
+              ( "884cdeb5ac620572817040cee4ea2ab7",
+                (13, 520, 7190, 348143, 520, 0) ) );
+            (* The last, tied block escalates its budget, and its post
+               slots with it. *)
+            ( "cyclic sliced qaoa-8q-g3",
+              (fun config ->
+                Satmap.Router.route_cyclic_body ~config ~slice_size:10
+                  ~repetitions:2 (Arch.Topologies.tokyo ())
+                  (qaoa_body ~n:8 ~seed:3)),
+              ( "e25b053ca4afe0cbb5f231e5f24d6066",
+                (14, 583, 7563, 280416, 583, 0) ) );
+            ( "cyclic qaoa-6q-g2 ring-6",
+              (fun config ->
+                Satmap.Router.route_cyclic_body ~config ~repetitions:2
+                  (Arch.Topologies.ring 6) (qaoa_body ~n:6 ~seed:2)),
+              ( "12587041d43993251b68507870febf40",
+                (5, 3682, 5177, 740769, 3682, 996) ) );
+            ( "cyclic backtracking ring-7",
+              (fun config ->
+                Satmap.Router.route_cyclic_body ~config ~slice_size:1
+                  ~repetitions:2 (Arch.Topologies.ring 7) backtracking_body),
+              ( "ceb0c8583c052aac3921765744133be9",
+                (36, 459, 648, 48777, 459, 0) ) );
+            ( "monolithic bv-5q-123 ring-6",
+              (fun config ->
+                Satmap.Router.route_monolithic ~config (Arch.Topologies.ring 6)
+                  (suite_circuit "bv-5q-123")),
+              ( "a9f0babd5f893be0dff836839aeb9f89",
+                (5, 3205, 4164, 491903, 3205, 996) ) );
           ] );
     ]
