@@ -273,7 +273,9 @@ let print_solver_stats () =
   Format.printf "reused:        %d clauses (descents resumed %d)@."
     (v "encode.reused_clauses") (v "descent.resumed");
   Format.printf "zero-swap:     %d of %d blocks skipped the solver@."
-    (v "router.zero_swap_blocks") (v "router.blocks")
+    (v "router.zero_swap_blocks") (v "router.blocks");
+  Format.printf "lower bound:   %d descents ended at it, without a refutation@."
+    (v "maxsat.lower_bound_stops")
 
 let lint_blocks =
   Arg.(

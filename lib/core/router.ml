@@ -26,7 +26,10 @@
    Sliced routing places before it slices: by default slice 0 is pinned
    to the quadratic-assignment placement of the whole circuit
    ([Placement.place]), and a pinned block whose gates all sit on device
-   edges skips the solver (its optimum is 0 and its solution forced). *)
+   edges skips the solver (its optimum is 0 and its solution forced).  A
+   free block whose interaction graph does not embed in the device gives
+   its descent a lower bound of one SWAP, which ends the descent at its
+   first one-SWAP model without refuting zero. *)
 
 type placement = Free | Qap | Fixed of int array
 
@@ -355,6 +358,21 @@ let zero_swap_pin ~config q =
     Some m
   | _ -> None
 
+(* A proved lower bound on a free block's [Count_swaps] optimum: 1 when
+   its interaction graph does not embed in the device, for then no
+   initial map runs the block without a SWAP; 0 otherwise.  The descent
+   then stops at its first one-SWAP model instead of refuting zero.  A
+   pinned block keeps 0: its refutation of zero is a cheap unit conflict,
+   and [certify] keeps its checked refutation (the same predicate as the
+   block cache). *)
+let free_block_bound ~config q =
+  match (q.bq_fixed_initial, config.objective) with
+  | None, Encoding.Count_swaps when may_skip_solver config -> (
+    match Placement.embed q.bq_device q.bq_slice with
+    | Placement.Does_not_embed -> 1
+    | Placement.Embeds _ | Placement.Unknown -> 0)
+  | _ -> 0
+
 (* More racing domains than cores is pure timesharing loss; cap at the
    machine budget like the serving layer does. *)
 let effective_jobs config =
@@ -373,17 +391,17 @@ let session_for config =
     | None -> Some (Encoding.Session.create ~window:config.reuse_window ())
   else None
 
-(* Returns the block result, the solver calls paid, and whether the
-   zero-swap shortcut answered.  The block cache is keyed on [q], the
-   same value the solve reads. *)
+(* Returns the block result, the solver calls paid, whether the zero-swap
+   shortcut answered, and the lower bound the descent was given.  The
+   block cache is keyed on [q], the same value the solve reads. *)
 let solve_block ~config ~deadline ?session ?(block_ix = 0) q =
   let spec = spec_of_query config q in
   let circuit = q.bq_slice in
-  if Unix.gettimeofday () > deadline then (Block_timeout, 0, false)
+  if Unix.gettimeofday () > deadline then (Block_timeout, 0, false, 0)
   else if
     Encoding.estimate_vars spec circuit > config.max_vars
     || Encoding.estimate_clauses spec circuit > config.max_clauses
-  then (Block_too_large, 0, false)
+  then (Block_too_large, 0, false, 0)
   else begin
     let cache = block_cache_of config in
     let report =
@@ -427,8 +445,10 @@ let solve_block ~config ~deadline ?session ?(block_ix = 0) q =
       in
       ( Block_solved { enc; sol; optimal = true; iterations = 0; cert = None },
         0,
-        match hit with `Zero_swap _ -> true | `Cached _ -> false )
+        (match hit with `Zero_swap _ -> true | `Cached _ -> false),
+        0 )
     | None -> (
+      let lower_bound = free_block_bound ~config q in
       match session with
       | Some sess when session_usable config && Encoding.Session.supported spec
         -> (
@@ -439,24 +459,27 @@ let solve_block ~config ~deadline ?session ?(block_ix = 0) q =
           Encoding.Session.prepare ~deadline ?fixed_initial ?fixed_final
             ~cyclic ~blocked_finals sess spec circuit
         with
-        | exception Encoding.Encode_timeout -> (Block_encode_timeout, 0, false)
+        | exception Encoding.Encode_timeout ->
+          (Block_encode_timeout, 0, false, lower_bound)
         | act ->
           let os =
             Maxsat.Optimizer.attach ~assumptions:act.a_assumptions
-              ~bounds:act.a_bounds ~solver:act.a_solver ~relax:act.a_relax ()
+              ~bounds:act.a_bounds ~lower_bound ~solver:act.a_solver
+              ~relax:act.a_relax ()
           in
           let result =
             classify_block_result ~config act.a_enc
               (Maxsat.Optimizer.resume ~deadline ?report os)
           in
           store_optimal result;
-          (result, 1, false))
+          (result, 1, false, lower_bound))
       | _ -> (
         match
           Encoding.build ~deadline ?fixed_initial ?fixed_final ~cyclic
             ~blocked_finals spec circuit
         with
-        | exception Encoding.Encode_timeout -> (Block_encode_timeout, 0, false)
+        | exception Encoding.Encode_timeout ->
+          (Block_encode_timeout, 0, false, lower_bound)
         | enc ->
           if config.lint_blocks then begin
             (* Pinned, blocked, or cyclic blocks may legitimately refute at
@@ -478,10 +501,10 @@ let solve_block ~config ~deadline ?session ?(block_ix = 0) q =
           let result =
             classify_block_result ~config enc
               (Maxsat.Optimizer.solve ~deadline ~certify:config.certify
-                 ?report ~jobs ~cube_vars (Encoding.instance enc))
+                 ?report ~jobs ~cube_vars ~lower_bound (Encoding.instance enc))
           in
           store_optimal result;
-          (result, 1, false)))
+          (result, 1, false, lower_bound)))
   end
 
 let block_result_label = function
@@ -519,15 +542,15 @@ let solve_block_escalating ~config ~deadline ?session ~block_ix ~n_blocks q =
         bq_post_slots = (if q.bq_post_slots > 0 then n else 0);
       }
     in
-    let result, c, zero_swap =
+    let result, c, zero_swap, lower_bound =
       solve_block ~config ~deadline ?session ~block_ix q
     in
     match result with
     | Block_unsat when n < diameter ->
       attempt (min diameter (2 * n)) (escalations + 1) (calls + c)
-    | other -> (other, escalations, calls + c, zero_swap)
+    | other -> (other, escalations, calls + c, zero_swap, lower_bound)
   in
-  let result, escalations, solver_calls, zero_swap =
+  let result, escalations, solver_calls, zero_swap, lower_bound =
     attempt q.bq_n_swaps 0 0
   in
   Obs.Metrics.incr m_blocks;
@@ -540,6 +563,7 @@ let solve_block_escalating ~config ~deadline ?session ~block_ix ~n_blocks q =
             Obs.Trace.Str
               (if zero_swap then "zero_swap" else block_result_label result) );
           ("escalations", Obs.Trace.Int escalations);
+          ("lower_bound", Obs.Trace.Int lower_bound);
         ];
   (result, escalations, solver_calls)
 

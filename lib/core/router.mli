@@ -22,7 +22,11 @@
     to {!Placement.place} of the whole circuit, and a pinned block whose
     two-qubit gates all sit on device edges skips the solver — its
     optimum is 0 swaps and its solution is forced (the zero-swap
-    shortcut, counted by the [router.zero_swap_blocks] metric). *)
+    shortcut, counted by the [router.zero_swap_blocks] metric).  A block
+    whose initial map is free and whose interaction graph does not embed
+    in the device needs at least one SWAP, so its descent stops at its
+    first one-SWAP model without a refutation (counted by
+    [maxsat.lower_bound_stops]). *)
 
 (** Where a route's initial map comes from. *)
 type placement =
@@ -233,21 +237,29 @@ val solve_block :
   ?session:Encoding.Session.t ->
   ?block_ix:int ->
   block_query ->
-  block_result * int * bool
+  block_result * int * bool * int
 (** Solve one block as the block-sequence driver does: the zero-swap
     shortcut, else the block cache, else the incremental session or a
     from-scratch build.  The query is the whole description — the block
     cache is keyed on the same value the solve reads.  [block_ix]
     (default 0) is what [config.on_improvement] reports.  Returns the
     result, the {!Maxsat.Optimizer} calls paid (0 for a shortcut or a
-    cache hit), and whether the zero-swap shortcut answered.  The
+    cache hit), whether the zero-swap shortcut answered, and the lower
+    bound the descent was given (0 when no descent ran).  The
     shortcut answers exactly when [bq_fixed_initial] is [Some m]; there
     is no [bq_fixed_final], no [bq_cyclic] tie and no [bq_post_slots];
     [m] is not among [bq_blocked_finals]; the objective is
     [Count_swaps]; the config may skip the solver (no [certify],
     [lint_blocks] or [fault_injection], as for the block cache); and
     every two-qubit gate sits on a device edge under [m].  It returns
-    the forced optimum: no SWAP, final map [m]. *)
+    the forced optimum: no SWAP, final map [m].
+
+    The lower bound is 1 for a block with no [bq_fixed_initial] whose
+    interaction graph does not embed in the device
+    ({!Placement.embed}), under [Count_swaps] and a config that may skip
+    the solver; the descent then ends at its first one-SWAP model
+    without refuting zero swaps.  It is 0 otherwise, so under [certify]
+    every optimum keeps its checked refutation. *)
 
 val emit :
   device:Arch.Device.t ->

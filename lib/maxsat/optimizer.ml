@@ -1,7 +1,11 @@
 (* Anytime MaxSAT by linear SAT-to-UNSAT descent, the same overall loop as
    the solver the paper uses (Open-WBO-Inc-MCS): find a model, bound the
-   objective strictly below its cost, and repeat until UNSAT (optimal) or
-   until the deadline expires (best-so-far is returned).
+   objective strictly below its cost, and repeat until UNSAT or a proved
+   lower bound (optimal) or until the deadline expires (best-so-far is
+   returned).  The lower bound is the caller's: a model whose cost reaches
+   it is optimal without the refutation below it (the routing layer
+   passes 1 for a free block whose interaction graph does not embed in
+   the device).
 
    Unit-weight objectives use an incremental totalizer; weighted
    objectives use a binary adder network with a lexicographic comparator.
@@ -52,6 +56,10 @@ let m_optima = Obs.Metrics.counter "maxsat.optima_proved"
    denominator the serving layer's result cache drives down: a
    block-cache hit skips the engagement entirely. *)
 let m_solves = Obs.Metrics.counter "maxsat.solves"
+
+(* Descents that ended at their caller's lower bound: each one is a
+   refutation the descent did not run. *)
+let m_lower_bound_stops = Obs.Metrics.counter "maxsat.lower_bound_stops"
 
 (* Descents continued across an expired deadline: a [resume] on a
    session that already ran at least once. *)
@@ -143,6 +151,9 @@ type session = {
       (** caller context (e.g. the routing layer's activation guard)
           passed to every solver call of the descent *)
   s_bounds : bounds;
+  s_lower_bound : int;
+      (** proved by the caller: no model costs less, so a model that
+          costs this much is optimal *)
   s_incremental : bool;
   s_recorder : Proof.Certificate.recorder option;
   mutable s_cert : Certify.report option;
@@ -241,7 +252,12 @@ let resume ?deadline ?report (s : session) =
     in
     let rec descend () =
       let best_cost = match s.s_best with Some (c, _) -> c | None -> 0 in
-      if best_cost = 0 || s.s_relax = [] then finish `Optimal
+      if best_cost < s.s_lower_bound then
+        failwith "Optimizer: a model costs less than the proved lower bound";
+      if best_cost = s.s_lower_bound || s.s_relax = [] then begin
+        if s.s_lower_bound > 0 then Obs.Metrics.incr m_lower_bound_stops;
+        finish `Optimal
+      end
       else begin
         let machinery =
           match s.s_bounds.b_machinery with
@@ -312,7 +328,7 @@ let resume ?deadline ?report (s : session) =
         descend ()))
 
 let start ?(certify = false) ?(jobs = 1) ?(cube_vars = []) ?incremental
-    instance =
+    ?(lower_bound = 0) instance =
   Obs.Metrics.incr m_solves;
   let t0 = Unix.gettimeofday () in
   (* Certification replays the DRUP trace of a single solver; a clause
@@ -396,6 +412,7 @@ let start ?(certify = false) ?(jobs = 1) ?(cube_vars = []) ?incremental
     s_unweighted = Instance.is_unweighted instance;
     s_assumptions = [];
     s_bounds = shared_bounds ();
+    s_lower_bound = lower_bound;
     s_incremental = incremental;
     s_recorder = recorder;
     s_cert = (if certify then Some Certify.empty else None);
@@ -411,7 +428,7 @@ let start ?(certify = false) ?(jobs = 1) ?(cube_vars = []) ?incremental
    (the caller's activation guard), and bounds — always
    assumption-activated here — memoize into [bounds] so consecutive
    sessions over the same solver reuse each other's selector clauses. *)
-let attach ?(assumptions = []) ?bounds ~solver ~relax () =
+let attach ?(assumptions = []) ?bounds ?(lower_bound = 0) ~solver ~relax () =
   Obs.Metrics.incr m_solves;
   let eng =
     {
@@ -435,6 +452,7 @@ let attach ?(assumptions = []) ?bounds ~solver ~relax () =
     s_unweighted = List.for_all (fun (w, _) -> w = 1) relax;
     s_assumptions = assumptions;
     s_bounds = (match bounds with Some b -> b | None -> shared_bounds ());
+    s_lower_bound = lower_bound;
     s_incremental = true;
     s_recorder = None;
     s_cert = None;
@@ -445,8 +463,10 @@ let attach ?(assumptions = []) ?bounds ~solver ~relax () =
     s_result = None;
   }
 
-let solve ?deadline ?certify ?report ?jobs ?cube_vars ?incremental instance =
-  resume ?deadline ?report (start ?certify ?jobs ?cube_vars ?incremental instance)
+let solve ?deadline ?certify ?report ?jobs ?cube_vars ?incremental ?lower_bound
+    instance =
+  resume ?deadline ?report
+    (start ?certify ?jobs ?cube_vars ?incremental ?lower_bound instance)
 
 (* Convenience used by tests and the CLI. *)
 let optimal_cost ?deadline ?certify ?jobs ?cube_vars ?incremental instance =

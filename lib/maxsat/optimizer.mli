@@ -2,7 +2,9 @@
 
     Mirrors the role Open-WBO-Inc-MCS plays in the paper: a loop around a
     SAT solver that can be interrupted at any point after the first model
-    and still yields the best solution found so far.
+    and still yields the best solution found so far.  The descent runs
+    until UNSAT or a proved lower bound: a caller that knows no model
+    costs less than [lower_bound] skips the refutation below it.
 
     The descent is incremental by default: one persistent solver lives
     across the whole SAT-to-UNSAT sequence and each bound
@@ -49,6 +51,7 @@ val solve :
   ?jobs:int ->
   ?cube_vars:Sat.Lit.var list ->
   ?incremental:bool ->
+  ?lower_bound:int ->
   Instance.t ->
   result
 (** [deadline] is an absolute [Unix.gettimeofday] instant.  [certify]
@@ -72,7 +75,13 @@ val solve :
     selector-literal assumption instead of a permanent unit clause; with
     [false] (and always under [certify], which forces it off) every
     bound is asserted permanently — the historical from-scratch
-    behaviour, preserved bit for bit. *)
+    behaviour, preserved bit for bit.
+
+    [lower_bound] (default 0) is a proved lower bound on the optimum:
+    the descent finishes [Optimal] at the first model whose cost reaches
+    it, without the refutation of the bound below, and counts that stop
+    in [maxsat.lower_bound_stops] when the bound is positive.  A model
+    that costs less raises [Failure]: the bound was not a bound. *)
 
 val optimal_cost :
   ?deadline:float ->
@@ -101,6 +110,7 @@ val start :
   ?jobs:int ->
   ?cube_vars:Sat.Lit.var list ->
   ?incremental:bool ->
+  ?lower_bound:int ->
   Instance.t ->
   session
 (** Create the engine, load the instance, and return the (not yet run)
@@ -130,7 +140,7 @@ val resumed : session -> int
     solver call), and [bounds] the selector table shared by every
     session on the same solver.  Bounds are always assumption-activated
     here, and no certification is available (use the from-scratch path
-    for that). *)
+    for that).  [lower_bound] is as in {!solve}. *)
 
 type bounds
 
@@ -139,6 +149,7 @@ val shared_bounds : unit -> bounds
 val attach :
   ?assumptions:Sat.Lit.t list ->
   ?bounds:bounds ->
+  ?lower_bound:int ->
   solver:Sat.Solver.t ->
   relax:(int * Sat.Lit.t) list ->
   unit ->

@@ -141,6 +141,33 @@ let test_optimizer_paper_example () =
     Alcotest.(check bool) "b" true o.model.(b)
   | _ -> Alcotest.fail "expected Optimal"
 
+let test_optimizer_lower_bound () =
+  (* Told that no model of Example 4 costs less than its optimum 1, the
+     descent ends at its first cost-1 model without the refutation of
+     cost 0.  Every model costs at most 2, so a "bound" of 3 is not one,
+     and the descent says so instead of calling a model optimal. *)
+  let a = 0 and b = 1 in
+  let inst =
+    Maxsat.Instance.create ~n_vars:2
+      ~hard:[ [ lit ~sign:false a; lit b ] ]
+      ~soft:[ (1, [ lit b ]); (1, [ lit a ]); (1, [ lit ~sign:false b ]) ]
+  in
+  let counter = Obs.Metrics.counter in
+  let calls = counter "maxsat.iterations"
+  and stops = counter "maxsat.lower_bound_stops" in
+  let calls0 = Obs.Metrics.value calls and stops0 = Obs.Metrics.value stops in
+  (match Maxsat.Optimizer.solve ~lower_bound:1 inst with
+  | Maxsat.Optimizer.Optimal o ->
+    Alcotest.(check int) "cost" 1 o.cost;
+    Alcotest.(check int) "no refutation call" o.iterations
+      (Obs.Metrics.value calls - calls0);
+    Alcotest.(check int) "one lower-bound stop" 1
+      (Obs.Metrics.value stops - stops0)
+  | _ -> Alcotest.fail "expected Optimal");
+  Alcotest.check_raises "bound above the optimum"
+    (Failure "Optimizer: a model costs less than the proved lower bound")
+    (fun () -> ignore (Maxsat.Optimizer.solve ~lower_bound:3 inst))
+
 let test_optimizer_unsat_hard () =
   let inst =
     Maxsat.Instance.create ~n_vars:1
@@ -506,6 +533,8 @@ let suite =
       [
         Alcotest.test_case "paper example 4" `Quick
           test_optimizer_paper_example;
+        Alcotest.test_case "proved lower bound" `Quick
+          test_optimizer_lower_bound;
         Alcotest.test_case "unsat hard" `Quick test_optimizer_unsat_hard;
         Alcotest.test_case "unsat hard is certified" `Quick
           test_optimizer_unsat_hard_certified;

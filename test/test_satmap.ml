@@ -960,12 +960,12 @@ let test_zero_swap_blocked_pin () =
   let circuit = Quantum.Circuit.create ~n_qubits:2 [ cx 0 1 ] in
   let pin = [| 0; 1 |] in
   (match solve_pinned device pin circuit with
-  | Satmap.Router.Block_solved b, 0, true ->
+  | Satmap.Router.Block_solved b, 0, true, 0 ->
     Alcotest.(check (array int)) "final is the pin" pin b.sol.final;
     Alcotest.(check int) "no swap" 0 b.sol.swap_count
   | _ -> Alcotest.fail "an unblocked adjacent pin takes the shortcut");
   match solve_pinned ~blocked_finals:[ pin ] device pin circuit with
-  | Satmap.Router.Block_solved b, 1, false ->
+  | Satmap.Router.Block_solved b, 1, false, 0 ->
     Alcotest.(check bool) "final avoids the blocked pin" true
       (b.sol.final <> pin);
     Alcotest.(check int) "one swap" 1 b.sol.swap_count;
@@ -981,7 +981,7 @@ let test_zero_swap_not_under_fidelity () =
     { quick_config with objective = Satmap.Encoding.Fidelity cal }
   in
   (match solve_pinned ~config device [| a; b |] circuit with
-  | Satmap.Router.Block_solved _, 1, false -> ()
+  | Satmap.Router.Block_solved _, 1, false, 0 -> ()
   | _ -> Alcotest.fail "Fidelity must reach the solver");
   let z0 = Obs.Metrics.value m_zero_swap in
   let _, s =
@@ -1030,6 +1030,196 @@ let test_default_free_where_one_block () =
         device body);
   same "cyclic autodetect" (fun config ->
       Satmap.Router.route_cyclic ~config device (Quantum.Circuit.repeat body 2))
+
+(* ------------------------------------------------------------------ *)
+(* The embedding test and the free-block lower bound *)
+
+(* A random connected device on [n] qubits: a random spanning tree plus
+   up to [n - 1] random extra edges. *)
+let random_device rng n =
+  let tree = List.init (n - 1) (fun i -> (Rng.int rng (i + 1), i + 1)) in
+  let extra =
+    List.filter
+      (fun (a, b) -> a <> b)
+      (List.init (Rng.int rng n) (fun _ -> (Rng.int rng n, Rng.int rng n)))
+  in
+  Arch.Device.create ~name:"random" n (tree @ extra)
+
+let embed_device rng =
+  match Rng.int rng 4 with
+  | 0 -> line (2 + Rng.int rng 6)
+  | 1 -> Arch.Topologies.ring (3 + Rng.int rng 5)
+  | 2 -> Arch.Topologies.grid ~rows:2 ~cols:3
+  | _ -> random_device rng (2 + Rng.int rng 6)
+
+(* A random interaction graph on [n_log] qubits, as a circuit: each pair
+   interacts with a probability drawn from [density, density + 0.5], some
+   pairs twice, in either direction, in a shuffled order with one-qubit
+   gates among them. *)
+let random_interaction ?(density = 0.2) rng ~n_log =
+  let p = density +. (0.5 *. Rng.float rng) in
+  let qubits = List.init n_log Fun.id in
+  let gates =
+    List.concat_map
+      (fun q ->
+        List.concat_map
+          (fun q' ->
+            if q < q' && Rng.float rng < p then
+              let g = if Rng.bool rng then cx q q' else cx q' q in
+              if Rng.int rng 3 = 0 then [ g; Quantum.Gate.h q; g ] else [ g ]
+            else [])
+          qubits)
+      qubits
+    |> Array.of_list
+  in
+  Rng.shuffle rng gates;
+  Quantum.Circuit.create ~n_qubits:n_log (Array.to_list gates)
+
+let on_edges device circuit m =
+  List.for_all
+    (fun (_, a, b) -> Arch.Device.adjacent device m.(a) m.(b))
+    (Quantum.Circuit.two_qubit_gates circuit)
+
+let brute_embeds device circuit =
+  List.exists (on_edges device circuit)
+    (Brute_qmr.all_maps
+       ~n_log:(Quantum.Circuit.n_qubits circuit)
+       ~n_phys:(Arch.Device.n_qubits device))
+
+let is_embedding device circuit m =
+  let n_phys = Arch.Device.n_qubits device in
+  Array.length m = Quantum.Circuit.n_qubits circuit
+  && Array.for_all (fun p -> p >= 0 && p < n_phys) m
+  && List.length (List.sort_uniq compare (Array.to_list m)) = Array.length m
+  && on_edges device circuit m
+
+let embedding_name = function
+  | Satmap.Placement.Embeds _ -> "embeds"
+  | Does_not_embed -> "does not embed"
+  | Unknown -> "unknown"
+
+(* The default budget settles every case; a budget of 0 to 7 nodes may
+   answer [Unknown] instead, but never a wrong "does not embed". *)
+let prop_embed_matches_brute =
+  QCheck2.Test.make ~count:300 ~name:"embedding test = brute force"
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let device = embed_device rng in
+      let circuit = random_interaction rng ~n_log:(1 + Rng.int rng 6) in
+      let embeds = brute_embeds device circuit in
+      let agrees ~unknown = function
+        | Satmap.Placement.Embeds m -> is_embedding device circuit m
+        | Does_not_embed -> not embeds
+        | Unknown -> unknown
+      in
+      agrees ~unknown:false (Satmap.Placement.embed device circuit)
+      && agrees ~unknown:true
+           (Satmap.Placement.embed ~budget:(Rng.int rng 8) device circuit))
+
+let test_embed_budget () =
+  let grid = Arch.Topologies.grid ~rows:2 ~cols:3 in
+  let cycle n =
+    Quantum.Circuit.create ~n_qubits:n
+      (List.init n (fun q -> cx q ((q + 1) mod n)))
+  in
+  let answer ?budget circuit =
+    embedding_name (Satmap.Placement.embed ?budget grid circuit)
+  in
+  (* The grid's rim is a 6-cycle; it is bipartite, so a 5-cycle does not
+     embed. *)
+  Alcotest.(check string) "6-cycle embeds" "embeds" (answer (cycle 6));
+  Alcotest.(check string) "5-cycle does not" "does not embed"
+    (answer (cycle 5));
+  List.iter
+    (fun c ->
+      Alcotest.(check string) "budget 0" "unknown" (answer ~budget:0 c);
+      for budget = 0 to 40 do
+        let a = answer ~budget c in
+        if a <> "unknown" then
+          Alcotest.(check string)
+            (Printf.sprintf "budget %d settles as the full search does" budget)
+            (answer c) a
+      done)
+    [ cycle 6; cycle 5 ]
+
+let m_lower_bound_stops = Obs.Metrics.counter "maxsat.lower_bound_stops"
+let m_iterations = Obs.Metrics.counter "maxsat.iterations"
+
+(* Route monolithic, with the lower-bound stops and the descent's solver
+   calls (satisfiable or not) that the route added to the counters. *)
+let route_counting config device circuit =
+  let stops0 = Obs.Metrics.value m_lower_bound_stops
+  and calls0 = Obs.Metrics.value m_iterations in
+  let r, s =
+    get_routed (Satmap.Router.route_monolithic ~config device circuit)
+  in
+  ( r,
+    s,
+    Obs.Metrics.value m_lower_bound_stops - stops0,
+    Obs.Metrics.value m_iterations - calls0 )
+
+(* A one-block free route has the optimum the certified route proves and
+   refutes.  It ends at its lower bound exactly when that optimum is one
+   SWAP (its graph then cannot embed), and makes one refutation call only
+   when the optimum is two or more; every escalation adds its one
+   unsatisfiable first call on both sides. *)
+let prop_lower_bound_matches_certified =
+  QCheck2.Test.make ~count:40 ~name:"free-block bound = certified refutation"
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let device =
+        Rng.pick rng
+          [
+            line 3;
+            line 4;
+            line 5;
+            Arch.Topologies.ring 4;
+            Arch.Topologies.ring 5;
+            Arch.Topologies.grid ~rows:2 ~cols:3;
+          ]
+      in
+      let n_log = max 2 (Arch.Device.n_qubits device - Rng.int rng 3) in
+      let circuit =
+        Quantum.Circuit.concat
+          (Quantum.Circuit.create ~n_qubits:n_log [ cx 0 1 ])
+          (random_interaction ~density:0.4 rng ~n_log)
+      in
+      let r, s, stops, calls = route_counting quick_config device circuit in
+      let r', s', stops', _ =
+        route_counting { quick_config with certify = true } device circuit
+      in
+      let swaps = Satmap.Routed.n_swaps r in
+      if swaps <> Satmap.Routed.n_swaps r' then
+        QCheck2.Test.fail_reportf "%d swaps against %d certified" swaps
+          (Satmap.Routed.n_swaps r');
+      s.Satmap.Router.proved_optimal && s'.Satmap.Router.proved_optimal
+      && stops' = 0
+      && stops = (if swaps = 1 then 1 else 0)
+      && calls
+         = s.maxsat_iterations + s.escalations + if swaps >= 2 then 1 else 0)
+
+let test_lower_bound_stops () =
+  List.iter
+    (fun (name, device, circuit) ->
+      let r, s, stops, calls = route_counting quick_config device circuit in
+      Alcotest.(check int) (name ^ ": one swap") 1 (Satmap.Routed.n_swaps r);
+      Alcotest.(check bool) (name ^ ": proved optimal") true s.proved_optimal;
+      Alcotest.(check int) (name ^ ": one lower-bound stop") 1 stops;
+      Alcotest.(check int)
+        (name ^ ": no refutation call")
+        s.maxsat_iterations calls)
+    [
+      ( "triangle linear-3",
+        line 3,
+        Quantum.Circuit.create ~n_qubits:3 [ cx 0 1; cx 1 2; cx 0 2 ] );
+      ( "serve-pool 1 tokyo",
+        tokyo,
+        Workloads.Generators.local_random
+          (Rng.create ((42 * 7919) + 1))
+          ~n:6 ~gates:12 ~locality:0.8 );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Noise-aware objective (Q6) *)
@@ -1151,6 +1341,17 @@ let suite =
           test_default_pins_slice_zero;
         Alcotest.test_case "one-block and cyclic defaults are free" `Quick
           test_default_free_where_one_block;
+      ] );
+    ( "embed",
+      [
+        qtest prop_embed_matches_brute;
+        Alcotest.test_case "budget answers unknown" `Quick test_embed_budget;
+      ] );
+    ( "bound",
+      [
+        qtest prop_lower_bound_matches_certified;
+        Alcotest.test_case "one-swap optimum, no refutation" `Quick
+          test_lower_bound_stops;
       ] );
     ("noise", [ Alcotest.test_case "fidelity objective" `Quick test_noise_aware_routes ]);
   ]

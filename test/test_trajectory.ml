@@ -15,13 +15,23 @@
    of adder-12q-098's blocks, each a single zero-conflict solve before, so
    that route makes 52 solves instead of 54 with fewer decisions and
    propagations; its conflicts, learnt, deleted and MD5 are unchanged.
+   A second, local-5q-078, was re-recorded for the free-block lower bound:
+   its free slice 0 does not embed in tokyo, so that block's descent
+   stops at its first one-SWAP model without refuting zero, and the
+   skipped refutation leaves the shared solver in a different state for
+   block 1, which then picks another optimum among ties (11 solves and a
+   new MD5, from 17 solves).
 
    A second group pins every configuration of the router's block walk the
    routes above do not reach: the default slice-0 placement pin, the
    cyclic relaxation sliced and unsliced (once with a tied last block that
    escalates its budget, once with seam backtracking), and the monolithic
    route.  Its rows were recorded before the four copies of the walk
-   became one, a refactor that promised to keep every search. *)
+   became one, a refactor that promised to keep every search.  The row
+   for serve-pool circuit 1 (a monolithic route whose graph does not
+   embed in tokyo) was recorded before the free-block lower bound landed,
+   at 13 solves; the bound keeps its MD5 and drops exactly one solve, the
+   refutation of zero SWAPs, with the conflicts that refutation cost. *)
 
 let lit ?sign v = Sat.Lit.of_var ?sign v
 
@@ -221,8 +231,8 @@ let () =
                  expected))
           [
             ( "local-5q-078",
-              ( "398ff3873b97c4ec82fdfc5d83f0607b",
-                (17, 945, 9430, 538786, 945, 0) ) );
+              ( "c16dbb3233f6951db13bbbed0f59f2ff",
+                (11, 260, 5529, 175416, 260, 0) ) );
             ( "toffoli-9q-116",
               ( "73e1126cfa718d5f835cf7fc40bcbe9f",
                 (45, 1702, 18749, 1213513, 1702, 0) ) );
@@ -268,6 +278,15 @@ let () =
                   ~repetitions:2 (Arch.Topologies.ring 7) backtracking_body),
               ( "ceb0c8583c052aac3921765744133be9",
                 (36, 459, 648, 48777, 459, 0) ) );
+            ( "monolithic serve-pool-1 tokyo",
+              (fun config ->
+                Satmap.Router.route_monolithic ~config
+                  (Arch.Topologies.tokyo ())
+                  (Workloads.Generators.local_random
+                     (Rng.create ((42 * 7919) + 1))
+                     ~n:6 ~gates:12 ~locality:0.8)),
+              ( "1433036be7fc5ae8a550eb8ef6bc7246",
+                (12, 691, 10171, 545708, 691, 0) ) );
             ( "monolithic bv-5q-123 ring-6",
               (fun config ->
                 Satmap.Router.route_monolithic ~config (Arch.Topologies.ring 6)
