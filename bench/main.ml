@@ -23,7 +23,6 @@ let opt_list = ref false
 let opt_no_micro = ref false
 let opt_json : string option ref = ref None
 let opt_smoke = ref false
-let opt_solver_jobs = ref 1
 let opt_certify = ref false
 let opt_trace : string option ref = ref None
 
@@ -39,9 +38,6 @@ let args =
     ("--json", Arg.String (fun s -> opt_json := Some s),
      "FILE write a machine-readable snapshot of the main set (per-benchmark \
       wall time, swaps, solver conflicts/s and propagations/s)");
-    ("--solver-jobs", Arg.Set_int opt_solver_jobs,
-     "N CDCL domains per MaxSAT descent step (clause-sharing portfolio \
-      with cube-and-conquer splitting; default 1 = sequential)");
     ("--smoke", Arg.Set opt_smoke,
      " 3-benchmark, seconds-scale slice of the harness (used by the \
       @bench-smoke dune alias, so the perf plumbing is exercised by \
@@ -132,7 +128,6 @@ let satmap_config () =
     placement = Satmap.Router.Free;
     timeout = timeout ();
     certify = !opt_certify;
-    solver_parallelism = max 1 !opt_solver_jobs;
   }
 
 (* Tool wrappers over the shared benchmark type.  Without an explicit
@@ -918,9 +913,11 @@ let json_of_metrics metrics =
             Printf.sprintf "\"%s\": %s" (json_escape k) (json_float v))
           metrics))
 
+(* Only the counters that moved: most registered ones belong to layers
+   (the socket server, the shard router) that a bench row never runs. *)
 let json_of_obs ~events metrics =
   Printf.sprintf "{\"trace_events\": %d, \"metrics\": %s}" events
-    (json_of_metrics metrics)
+    (json_of_metrics (List.filter (fun (_, v) -> v <> 0.0) metrics))
 
 let json_of_cache (c : cache_probe) =
   let looked_up = c.cache_hits + c.cache_misses in
@@ -1144,11 +1141,12 @@ let engines_section () =
     (String.concat ",\n    " (List.map family_json families))
 
 (* Race-layer probe for the snapshot: what do the sync shims cost?  The
-   same shim-heavy workload — LRU churn plus a jobs = 2 portfolio solve
-   — runs with the instrumentation off (the single-boolean-load
-   passthrough that production always pays) and again with SATMAP_RACE
-   on in passive mode (vector-clock detector live, no controlled
-   scheduler).  Passive mode on a clean tree must stay silent. *)
+   same shim-heavy workload — LRU churn, then two pool workers reading
+   the same cache, so the probe crosses domains — runs with the
+   instrumentation off (the single-boolean-load passthrough that
+   production always pays) and again with SATMAP_RACE on in passive mode
+   (vector-clock detector live, no controlled scheduler).  Passive mode
+   on a clean tree must stay silent. *)
 let race_section () =
   let workload () =
     let c = Service.Cache.create ~name:"bench.race" ~capacity:64 () in
@@ -1158,15 +1156,18 @@ let race_section () =
       | Some _ -> ()
       | None -> Service.Cache.add c k i
     done;
-    let p = Sat.Parallel.create ~jobs:2 ~glue_limit:4 ~ring_size:64 () in
-    let v = Array.init 8 (fun _ -> Sat.Parallel.new_var p) in
-    for i = 0 to 6 do
-      Sat.Parallel.add_clause p
-        [ Sat.Lit.of_var v.(i); Sat.Lit.of_var ~sign:false v.(i + 1) ]
+    let p =
+      Service.Pool.create ~name:"bench.race.pool" ~workers:2 ~capacity:8 ()
+    in
+    for j = 0 to 7 do
+      ignore
+        (Service.Pool.submit p (fun () ->
+             for i = 0 to 99 do
+               let k = Printf.sprintf "k%d" ((i + j) mod 96) in
+               ignore (Service.Cache.find c k)
+             done))
     done;
-    Sat.Parallel.add_clause p [ Sat.Lit.of_var v.(7) ];
-    Sat.Parallel.add_clause p [ Sat.Lit.of_var ~sign:false v.(0) ];
-    ignore (Sat.Parallel.solve p)
+    Service.Pool.shutdown p
   in
   let time f =
     (* Three repetitions, keep the best: the probe wants the cost of the
@@ -1200,18 +1201,11 @@ let race_section () =
 let write_json path =
   let rows = Lazy.force main_rows in
   let oc = open_out path in
-  (* Per-row portfolio stats come from the observability counters, which
-     are reset around each SATMAP run, so they are that row's alone. *)
-  let row_metric (r : main_row) key =
-    int_of_float (Option.value ~default:0.0 (List.assoc_opt key r.obs_metrics))
-  in
   let row_json (r : main_row) =
     Printf.sprintf
       "    {\"name\": \"%s\", \"family\": \"%s\", \"two_qubit\": %d, \
        \"solved\": %b, \"status\": \"%s\", \"swaps\": %d, \
        \"seconds\": %s, \"optimal\": %b, \"solver_calls\": %d,\n\
-      \     \"parallel\": {\"jobs\": %d, \"shared_clauses\": %d, \
-       \"imported_clauses\": %d, \"cube_jobs\": %d, \"winner\": %d},\n\
       \     \"solver\": %s,\n\
       \     \"proof\": %s,\n\
       \     \"cache\": %s,\n\
@@ -1223,11 +1217,6 @@ let write_json path =
       (if r.satmap.solved then r.satmap.swaps else 0)
       (json_float r.satmap.seconds)
       r.satmap.optimal r.satmap.solver_calls
-      (max 1 !opt_solver_jobs)
-      (row_metric r "sat.shared_clauses")
-      (row_metric r "sat.imported_clauses")
-      (row_metric r "sat.cube_jobs")
-      (row_metric r "sat.portfolio_winner")
       (json_of_totals r.satmap_sat ~wall:r.satmap.seconds)
       (json_of_proof r.satmap)
       (json_of_cache r.satmap_cache)
@@ -1325,7 +1314,6 @@ let write_json path =
     \  \"schema\": \"satmap-bench/v1\",\n\
     \  \"scale\": \"%s\",\n\
     \  \"per_tool_budget_s\": %s,\n\
-    \  \"solver_jobs\": %d,\n\
     \  \"suite_size\": %d,\n\
     \  \"solved\": %d,\n\
     \  \"solver_totals\": %s,\n\
@@ -1339,7 +1327,6 @@ let write_json path =
      }\n"
     (if !opt_smoke then "smoke" else if !opt_full then "full" else "quick")
     (json_float (timeout ()))
-    (max 1 !opt_solver_jobs)
     (List.length rows) solved
     (json_of_totals sum ~wall:total_wall)
     proof_totals cache_totals obs_totals (serve_section ())

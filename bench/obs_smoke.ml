@@ -1,11 +1,13 @@
 (* @obs-smoke: end-to-end validation of the observability pipeline.
 
-   Routes a small random circuit through the parallel portfolio with
-   tracing enabled, then checks the emitted artefacts the way a consumer
-   would: the Chrome trace JSON must re-parse with the zero-dependency
-   parser, contain spans from all four instrumented layers (SAT solver,
-   MaxSAT descent, router blocks, portfolio members), and the metrics
-   export must re-parse and account for the work the route just did.
+   Routes a small random circuit through the slice-size portfolio on two
+   domains with tracing enabled, then checks the emitted artefacts the
+   way a consumer would: the Chrome trace JSON must re-parse with the
+   zero-dependency parser, contain spans from all four instrumented
+   layers (SAT solver, MaxSAT descent, router blocks, portfolio members),
+   show the two members on two domain tracks at the same time, and the
+   metrics export must re-parse and account for the work the route just
+   did.
    Exit code 1 on any violation, so `dune runtest` fails. *)
 
 let fail fmt =
@@ -30,12 +32,17 @@ let () =
   let circuit =
     Workloads.Generators.local_random rng ~n:8 ~gates:24 ~locality:0.6
   in
-  let config = { Satmap.Router.default_config with timeout = 20.0 } in
+  let config =
+    {
+      Satmap.Router.default_config with
+      timeout = 20.0;
+      solver_parallelism = 2;
+    }
+  in
   Obs.Metrics.reset ();
   Obs.Trace.enable ();
   let outcome, _ =
-    Satmap.Router.route_portfolio_parallel ~config ~sizes:[ 5; 10 ] device
-      circuit
+    Satmap.Router.route_portfolio ~config ~sizes:[ 5; 10 ] device circuit
   in
   (match outcome with
   | Satmap.Router.Routed _ -> ()
@@ -77,6 +84,29 @@ let () =
   if List.length tids < 2 then
     fail "expected portfolio members on distinct domain tracks, got %d tid(s)"
       (List.length tids);
+  (* ... and they must run at the same time, not one after the other. *)
+  let members =
+    List.filter_map
+      (fun ev ->
+        match
+          ( Option.bind (Obs.Json.member "name" ev) Obs.Json.string_value,
+            Option.bind (Obs.Json.member "ts" ev) Obs.Json.number_value,
+            Option.bind (Obs.Json.member "dur" ev) Obs.Json.number_value )
+        with
+        | Some "router.portfolio_member", Some ts, Some dur ->
+          Some (ts, ts +. dur)
+        | _ -> None)
+      events
+  in
+  (* Sorted by start, two spans overlap iff some span starts before its
+     predecessor ends. *)
+  let rec overlapping = function
+    | (_, e0) :: ((s1, _) :: _ as rest) -> s1 < e0 || overlapping rest
+    | [] | [ _ ] -> false
+  in
+  if not (overlapping (List.sort compare members)) then
+    fail "no two of the %d portfolio member spans overlap in time"
+      (List.length members);
 
   (* The metrics export must re-parse and count the route's work. *)
   let metrics_path = "obs_smoke_metrics.json" in

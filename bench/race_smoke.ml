@@ -5,8 +5,7 @@
    2. Every seeded race mutant must be flagged by the detector under
       the explorer, with at least one replayable seed.
    3. Same seed, same scenario => same schedule: the explorer must be
-      deterministic (the [jobs = 1]-style reproducibility bar applied
-      to schedules).
+      deterministic.
 
    Exit status 0 iff all three hold. *)
 

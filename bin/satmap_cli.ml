@@ -108,14 +108,6 @@ let method_ =
            cyclic (CYC-SATMAP, auto-detects the repeated body).  Other \
            pipelines, such as hybrid, are engines: see --engine.")
 
-let parallel =
-  Arg.(
-    value & flag
-    & info [ "parallel" ]
-        ~doc:
-          "Run the slice-size portfolio with one domain per member \
-           (only meaningful without an explicit slice size).")
-
 let noise =
   Arg.(
     value & flag
@@ -140,9 +132,9 @@ let solver_jobs =
     value & opt int 1
     & info [ "j"; "solver-jobs" ] ~docv:"N"
         ~doc:
-          "CDCL domains per MaxSAT descent step (default 1). Above 1 each \
-           block solve runs a clause-sharing portfolio with \
-           cube-and-conquer splitting; forced back to 1 under --certify.")
+          "Domains the slice-size portfolio runs its members on (default \
+           1); only used without an explicit slice size under the sliced \
+           method.")
 
 let solver_stats =
   Arg.(
@@ -287,7 +279,7 @@ let lint_blocks =
            with exit code 3.")
 
 let route_cmd_run device qasm timeout slice_size method_ noise output n_swaps
-    parallel solver_jobs stats_flag certify lint_blocks trace metrics engine
+    solver_jobs stats_flag certify lint_blocks trace metrics engine
     list_engines seed_placement =
  guarded @@ fun () ->
   if list_engines then begin
@@ -418,9 +410,7 @@ let route_cmd_run device qasm timeout slice_size method_ noise output n_swaps
     | `Sliced, Some s ->
       Satmap.Router.route_sliced ~config ~slice_size:s device circuit
     | `Sliced, None ->
-      if parallel then
-        fst (Satmap.Router.route_portfolio_parallel ~config device circuit)
-      else fst (Satmap.Router.route_portfolio ~config device circuit)
+      fst (Satmap.Router.route_portfolio ~config device circuit)
   in
   if span != Obs.Trace.null_span then
     Obs.Trace.stop span
@@ -474,7 +464,7 @@ let route_cmd =
     (Cmd.info "route" ~doc:"Map and route a circuit onto a device via MaxSAT.")
     Term.(
       const route_cmd_run $ device $ route_qasm_file $ timeout $ slice_size
-      $ method_ $ noise $ output $ n_swaps $ parallel $ solver_jobs
+      $ method_ $ noise $ output $ n_swaps $ solver_jobs
       $ solver_stats $ certify $ lint_blocks $ trace_out $ metrics_out
       $ engine_opt $ list_engines $ seed_placement)
 
@@ -820,8 +810,9 @@ let serve_cmd =
       value & opt int 1
       & info [ "solver-jobs" ] ~docv:"N"
           ~doc:
-            "CDCL domains per request's MaxSAT descent steps; capped so \
-             workers x jobs stays within the machine's domain budget.")
+            "Domains a portfolio request runs its slice-size members on; \
+             capped so workers x jobs stays within the machine's domain \
+             budget.")
   in
   let stdio =
     Arg.(

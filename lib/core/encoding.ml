@@ -457,17 +457,6 @@ type var_class =
   | Swap of { slot : int; edge : int }
   | Aux
 
-(* The cube-and-conquer branching skeleton: the layer-0 map variables.
-   Pinning a few of them splits the instance along the initial-mapping
-   choice — the decision the rest of the encoding is functionally
-   determined by.  When the initial map is pinned (slicing seams) these
-   variables are all root-assigned and the splitter's probing skips
-   them. *)
-let branch_vars t =
-  List.concat_map
-    (fun q -> List.init (n_phys t) (fun p -> map_var t ~layer:0 ~q ~p))
-    (List.init t.n_log Fun.id)
-
 let classify_var t v =
   let base = slot_base t in
   if v < 0 then Aux

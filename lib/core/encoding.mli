@@ -90,11 +90,6 @@ type var_class =
 
 val classify_var : t -> Sat.Lit.var -> var_class
 
-val branch_vars : t -> Sat.Lit.var list
-(** The layer-0 map variables — the preferred cube-and-conquer branching
-    skeleton (pinning a few splits the instance along the initial-mapping
-    choice).  Pass to {!Maxsat.Optimizer.solve} as [cube_vars]. *)
-
 val gate_layer : t -> int -> int
 val final_layer : t -> int
 val slots_before_step : t -> int -> int list

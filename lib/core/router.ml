@@ -42,11 +42,7 @@ type config = {
   objective : Encoding.objective;
   timeout : float;  (** seconds for the whole call *)
   solver_parallelism : int;
-      (** CDCL domains per MaxSAT descent step: above 1, every block
-          solve runs a clause-sharing {!Sat.Parallel} portfolio with
-          cube-and-conquer splitting over the block's layer-0 map
-          variables.  Forced back to 1 under [certify] (imported clauses
-          are not RUP-derivable in the importer's own proof trace). *)
+      (** domains [route_portfolio] runs its slice-size members on *)
   backtrack_limit : int;
   max_vars : int;  (** memory guard on encoding size *)
   max_clauses : int;  (** memory guard on clause count (the 5 GB cap) *)
@@ -87,8 +83,8 @@ type config = {
   incremental : bool;
       (** share one solver across slices, retries and descent bounds (the
           encoding skeleton persists; per-slice clauses are activated by
-          assumption).  Forced off under [certify] — assumption-activated
-          bounds are not DRUP-replayable — and under parallel solving. *)
+          assumption).  Forced off under [certify]: assumption-activated
+          bounds are not DRUP-replayable. *)
   reuse_window : int;
       (** activations per shared solver before it is rebuilt *)
   warm_session : Encoding.Session.t option;
@@ -373,16 +369,9 @@ let free_block_bound ~config q =
     | Placement.Embeds _ | Placement.Unknown -> 0)
   | _ -> 0
 
-(* More racing domains than cores is pure timesharing loss; cap at the
-   machine budget like the serving layer does. *)
-let effective_jobs config =
-  max 1 (min config.solver_parallelism (Domain.recommended_domain_count ()))
-
-(* Incremental sessions only serve the plain sequential path: parallel
-   portfolios own their solvers, certification needs permanent bound
-   clauses, and lint inspects a complete instance. *)
-let session_usable config =
-  effective_jobs config = 1 && (not config.certify) && not config.lint_blocks
+(* Certification needs permanent bound clauses, and lint inspects a
+   complete instance: both solve each block from scratch. *)
+let session_usable config = (not config.certify) && not config.lint_blocks
 
 let session_for config =
   if config.incremental && session_usable config then
@@ -496,12 +485,10 @@ let solve_block ~config ~deadline ?session ?(block_ix = 0) q =
                 (Format.asprintf "Router: block failed lint (%s)@\n%a"
                    (Lint.Report.summary report) Lint.Report.pp report)
           end;
-          let jobs = effective_jobs config in
-          let cube_vars = if jobs > 1 then Encoding.branch_vars enc else [] in
           let result =
             classify_block_result ~config enc
               (Maxsat.Optimizer.solve ~deadline ~certify:config.certify
-                 ?report ~jobs ~cube_vars ~lower_bound (Encoding.instance enc))
+                 ?report ~lower_bound (Encoding.instance enc))
           in
           store_optimal result;
           (result, 1, false, lower_bound)))
@@ -815,61 +802,39 @@ let best_of results =
       | acc, (Routed _ | Failed _) -> acc)
     None results
 
-(* Each portfolio member gets its own span; under the parallel driver the
-   recorded thread id is the member's domain id, so the trace viewer
-   renders the members as parallel tracks. *)
+(* Each portfolio member gets its own span; the trace records the
+   domain that ran it, so members on several domains render as parallel
+   tracks. *)
 let run_member ~config ~size device circuit =
   Obs.Trace.with_span "router.portfolio_member"
     ~args:[ ("slice_size", Obs.Trace.Int size) ]
     (fun () -> route_sliced ~config ~slice_size:size device circuit)
 
+(* Member i runs on domain i mod k; the caller's domain is domain 0.
+   Members share the immutable device and circuit and the config's
+   domain-safe hooks.  Every domain is joined before a member's exception
+   is re-raised. *)
 let route_portfolio ?(config = default_config) ?(sizes = [ 10; 25; 50; 100 ])
     device circuit =
-  let results =
-    List.map (fun size -> (size, run_member ~config ~size device circuit)) sizes
+  let k = max 1 (min config.solver_parallelism (List.length sizes)) in
+  let config = if k = 1 then config else { config with warm_session = None } in
+  let share d =
+    List.filteri (fun i _ -> i mod k = d) sizes
+    |> List.map (fun size -> run_member ~config ~size device circuit)
+    |> Array.of_list
   in
-  match best_of results with
-  | Some (r, s) -> (Routed (r, s), results)
-  | None -> (Failed "no slice size succeeded", results)
-
-(* Parallel portfolio: one domain per slice size, realising the paper's
-   "parallel SAT-solving strategies" scaling avenue.  Every domain builds
-   its own solver state; the shared device and circuit values are
-   immutable, so no synchronisation is needed.  Spawns are chunked at the
-   runtime's recommended domain count (minus the joining domain) rather
-   than one domain per member unconditionally: oversubscribing cores
-   makes every member slower without solving more. *)
-let route_portfolio_parallel ?(config = default_config)
-    ?(sizes = [ 10; 25; 50; 100 ]) device circuit =
-  (* A warm session wraps one single-threaded solver; sharing it across
-     member domains would race.  Each member gets a private session
-     (created inside its own domain by [session_for]). *)
-  let config = { config with warm_session = None } in
-  let spawn size =
-    ( size,
-      Domain.spawn (fun () ->
-          try run_member ~config ~size device circuit
-          with exn -> Failed (Printexc.to_string exn)) )
+  let settle f = match f () with r -> Ok r | exception e -> Error e in
+  let others =
+    List.init (k - 1) (fun d -> Domain.spawn (fun () -> share (d + 1)))
   in
-  let max_live = max 1 (Domain.recommended_domain_count () - 1) in
-  let rec chunks = function
-    | [] -> []
-    | xs ->
-      let rec take n = function
-        | x :: tl when n > 0 ->
-          let hd, rest = take (n - 1) tl in
-          (x :: hd, rest)
-        | rest -> ([], rest)
-      in
-      let group, rest = take max_live xs in
-      group :: chunks rest
+  let mine = settle (fun () -> share 0) in
+  let shares =
+    mine :: List.map (fun d -> settle (fun () -> Domain.join d)) others
+    |> List.map (function Ok s -> s | Error e -> raise e)
+    |> Array.of_list
   in
   let results =
-    List.concat_map
-      (fun group ->
-        let domains = List.map spawn group in
-        List.map (fun (size, d) -> (size, Domain.join d)) domains)
-      (chunks sizes)
+    List.mapi (fun i size -> (size, shares.(i mod k).(i / k))) sizes
   in
   match best_of results with
   | Some (r, s) -> (Routed (r, s), results)

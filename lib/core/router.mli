@@ -52,13 +52,9 @@ type config = {
   objective : Encoding.objective;
   timeout : float;  (** seconds for the whole call *)
   solver_parallelism : int;
-      (** CDCL domains per MaxSAT descent step (default 1): above 1 every
-          block solve runs a clause-sharing {!Sat.Parallel} portfolio
-          with cube-and-conquer splitting over the block's layer-0 map
-          variables.  Clamped to [Domain.recommended_domain_count ()] —
-          more racing domains than cores is pure timesharing loss — and
-          forced back to 1 under [certify]: imported clauses are not
-          RUP-derivable in the importer's own proof trace. *)
+      (** domains {!route_portfolio} runs its slice-size members on
+          (default 1: one after another on the caller's domain).  Every
+          other route is sequential and ignores it. *)
   backtrack_limit : int;
   max_vars : int;  (** encoding-size guard (the paper's memory cap) *)
   max_clauses : int;  (** clause-count guard (the paper's memory cap) *)
@@ -91,17 +87,17 @@ type config = {
           (slice) being solved, the descent iteration, and the model's
           cost.  Costs are per-block; backtracking may re-solve a block
           and report a higher cost than an earlier call.  The callback
-          runs on the solving domain — it must be fast and must not
-          raise.  [None] by default. *)
+          runs on the solving domain — under {!route_portfolio} on
+          several domains, on several at once — so it must be fast,
+          domain-safe and must not raise.  [None] by default. *)
   incremental : bool;
       (** share one persistent solver across a route's slices, seam
           retries and descent bounds (default true): the slice-independent
           encoding skeleton is emitted once and per-slice constraints are
           activated by assumption ({!Encoding.Session}).  Automatically
           off under [certify] (assumption-activated bounds are not
-          DRUP-replayable), [lint_blocks], parallel solving, and the
-          [Fidelity] objective — those paths solve from scratch exactly
-          as before. *)
+          DRUP-replayable), [lint_blocks] and the [Fidelity] objective —
+          those paths solve from scratch exactly as before. *)
   reuse_window : int;
       (** activations per shared solver before it is rebuilt (default
           16); a sliced route with B blocks creates about
@@ -219,8 +215,7 @@ val slice_budget : deadline:float -> now:float -> blocks_remaining:int -> float
 val session_for : config -> Encoding.Session.t option
 (** The incremental session a route with this config would use: the
     [warm_session] if given, a fresh one if [incremental] applies, [None]
-    when the config forces the from-scratch path (certify, lint, or
-    parallel solving). *)
+    when the config forces the from-scratch path (certify or lint). *)
 
 val classify_block_result :
   config:config -> Encoding.t -> Maxsat.Optimizer.result -> block_result
@@ -302,16 +297,12 @@ val route_portfolio :
   Arch.Device.t ->
   Quantum.Circuit.t ->
   outcome * (int * outcome) list
-(** Returns the best outcome and the per-slice-size outcomes. *)
-
-val route_portfolio_parallel :
-  ?config:config ->
-  ?sizes:int list ->
-  Arch.Device.t ->
-  Quantum.Circuit.t ->
-  outcome * (int * outcome) list
-(** Like {!route_portfolio} but with one domain per slice size (the
-    paper's "parallel SAT-solving strategies" future-work avenue);
-    wall-clock is the slowest member instead of the sum.  Spawns are
-    chunked at [Domain.recommended_domain_count () - 1] live domains so
-    a large portfolio does not oversubscribe the machine. *)
+(** Routes the circuit once per slice size (default 10, 25, 50, 100) and
+    returns the best outcome (fewest added CNOTs, the first of equals in
+    [sizes] order) and the per-size outcomes in [sizes] order.  The
+    members run on k = min [config.solver_parallelism] (number of sizes)
+    domains, the caller's among them: member i runs on domain i mod k.
+    Above one domain the [warm_session] is dropped (it is not
+    domain-safe), so each member builds its own.  There is no core-count
+    cap: a caller that runs portfolios side by side divides the machine
+    itself, as [Service.Engine.create] does. *)

@@ -81,25 +81,13 @@ let relaxation_lits (sink : Sat.Sink.t) soft =
         (w, r))
     soft
 
-(* The descent body is written against this record so it can drive
-   either a single {!Sat.Solver} or a {!Sat.Parallel} portfolio.  The
-   [jobs = 1] instantiation forwards every field to the bare solver, so
-   the sequential path is bit-identical to what it always was. *)
-type engine = {
-  e_new_var : unit -> Sat.Lit.var;
-  e_set_polarity : Sat.Lit.var -> bool -> unit;
-  e_solve : ?deadline:float -> Sat.Lit.t list -> Sat.Solver.result;
-  e_model_value : Sat.Lit.var -> bool;
-  e_n_vars : unit -> int;
-  e_stats : unit -> Sat.Solver.stats;
-}
+let model_array solver =
+  Array.init (Sat.Solver.n_vars solver) (Sat.Solver.model_value solver)
 
-let model_array eng = Array.init (eng.e_n_vars ()) eng.e_model_value
-
-let cost_of_relax eng relax =
+let cost_of_relax solver relax =
   List.fold_left
     (fun acc (w, r) ->
-      let b = eng.e_model_value (Sat.Lit.var r) in
+      let b = Sat.Solver.model_value solver (Sat.Lit.var r) in
       let active = if Sat.Lit.sign r then b else not b in
       if active then acc + w else acc)
     0 relax
@@ -143,7 +131,7 @@ let guard_sink g (sink : Sat.Sink.t) =
   }
 
 type session = {
-  s_eng : engine;
+  s_solver : Sat.Solver.t;
   s_sink : Sat.Sink.t;
   s_relax : (int * Sat.Lit.t) list;
   s_unweighted : bool;
@@ -168,10 +156,10 @@ let selector_for s machinery k =
   match List.assoc_opt k s.s_bounds.b_selectors with
   | Some a -> a
   | None ->
-    let a = Sat.Lit.of_var (s.s_eng.e_new_var ()) in
+    let a = Sat.Lit.of_var (Sat.Solver.new_var s.s_solver) in
     (* Default the selector off so unrelated solver calls on the same
        solver are not accidentally biased into the bound. *)
-    s.s_eng.e_set_polarity (Sat.Lit.var a) false;
+    Sat.Solver.set_polarity s.s_solver (Sat.Lit.var a) false;
     let gsink = guard_sink a s.s_sink in
     (match machinery with
     | Totalizer out ->
@@ -201,7 +189,7 @@ let resume ?deadline ?report (s : session) =
     let report_iteration iteration cost =
       match report with
       | None -> ()
-      | Some f -> f ~iteration ~cost ~stats:(s.s_eng.e_stats ())
+      | Some f -> f ~iteration ~cost ~stats:(Sat.Solver.stats s.s_solver)
     in
     (* One span per descent iteration: the bound being attempted going in,
        the solver's verdict (and model cost, when SAT) coming out. *)
@@ -238,7 +226,7 @@ let resume ?deadline ?report (s : session) =
           model;
           iterations = s.s_iterations;
           solve_time = s.s_solve_time;
-          solver_stats = Sat.Solver.copy_stats (s.s_eng.e_stats ());
+          solver_stats = Sat.Solver.copy_stats (Sat.Solver.stats s.s_solver);
           certificate = s.s_cert;
         }
       in
@@ -276,16 +264,19 @@ let resume ?deadline ?report (s : session) =
           end
         in
         let span = iteration_span (s.s_iterations + 1) bound in
-        match s.s_eng.e_solve ?deadline (s.s_assumptions @ extra) with
+        match
+          Sat.Solver.solve ~assumptions:(s.s_assumptions @ extra) ?deadline
+            s.s_solver
+        with
         | Sat.Solver.Sat ->
           s.s_iterations <- s.s_iterations + 1;
-          let cost = cost_of_relax s.s_eng s.s_relax in
+          let cost = cost_of_relax s.s_solver s.s_relax in
           stop_iteration span ~cost "sat";
           (* The bound guarantees progress; guard against a stuck loop in
              case of an encoding bug. *)
           if cost >= best_cost then
             failwith "Optimizer: objective did not decrease";
-          s.s_best <- Some (cost, model_array s.s_eng);
+          s.s_best <- Some (cost, model_array s.s_solver);
           report_iteration s.s_iterations cost;
           descend ()
         | Sat.Solver.Unsat ->
@@ -303,7 +294,9 @@ let resume ?deadline ?report (s : session) =
     | Some _ -> descend ()
     | None -> (
       let span0 = iteration_span (s.s_iterations + 1) (-1) in
-      match s.s_eng.e_solve ?deadline s.s_assumptions with
+      match
+        Sat.Solver.solve ~assumptions:s.s_assumptions ?deadline s.s_solver
+      with
       | Sat.Solver.Unsat ->
         stop_iteration span0 "unsat";
         (* The initial refutation is the optimizer's strongest claim —
@@ -321,92 +314,46 @@ let resume ?deadline ?report (s : session) =
         Timeout
       | Sat.Solver.Sat ->
         s.s_iterations <- s.s_iterations + 1;
-        let cost = cost_of_relax s.s_eng s.s_relax in
+        let cost = cost_of_relax s.s_solver s.s_relax in
         stop_iteration span0 ~cost "sat";
-        s.s_best <- Some (cost, model_array s.s_eng);
+        s.s_best <- Some (cost, model_array s.s_solver);
         report_iteration s.s_iterations cost;
         descend ()))
 
-let start ?(certify = false) ?(jobs = 1) ?(cube_vars = []) ?incremental
-    ?(lower_bound = 0) instance =
+let start ?(certify = false) ?incremental ?(lower_bound = 0) instance =
   Obs.Metrics.incr m_solves;
   let t0 = Unix.gettimeofday () in
-  (* Certification replays the DRUP trace of a single solver; a clause
-     imported from a portfolio sibling is not RUP-derivable inside the
-     importer's own trace, so certify forces the sequential engine (the
-     documented fallback — soundness over speed).  It likewise forces
-     permanent bounds: an UNSAT reached only under a selector assumption
-     is not derivable from the recorded CNF alone. *)
-  let jobs = if certify then 1 else max 1 jobs in
+  (* Certification forces permanent bounds: an UNSAT reached only under
+     a selector assumption is not derivable from the recorded CNF
+     alone. *)
   let incremental =
     (match incremental with Some b -> b | None -> true) && not certify
   in
-  let eng, sink, recorder =
-    if jobs = 1 then begin
-      let solver = Sat.Solver.create () in
-      (* With certification on, every clause is recorded alongside the
-         solver's proof trace so each UNSAT bound can be re-checked by
-         the independent checker. *)
-      let recorder =
-        if certify then Some (Proof.Certificate.create solver) else None
-      in
-      let sink =
-        match recorder with
-        | Some r -> Proof.Certificate.sink r
-        | None -> Sat.Sink.of_solver solver
-      in
-      let eng =
-        {
-          e_new_var = (fun () -> Sat.Solver.new_var solver);
-          e_set_polarity = Sat.Solver.set_polarity solver;
-          e_solve =
-            (fun ?deadline assumptions ->
-              Sat.Solver.solve ~assumptions ?deadline solver);
-          e_model_value = Sat.Solver.model_value solver;
-          e_n_vars = (fun () -> Sat.Solver.n_vars solver);
-          e_stats = (fun () -> Sat.Solver.stats solver);
-        }
-      in
-      (eng, sink, recorder)
-    end
-    else begin
-      let p = Sat.Parallel.create ~jobs () in
-      let sink =
-        {
-          Sat.Sink.fresh_var = (fun () -> Sat.Parallel.new_var p);
-          add_clause = Sat.Parallel.add_clause p;
-        }
-      in
-      let eng =
-        {
-          e_new_var = (fun () -> Sat.Parallel.new_var p);
-          e_set_polarity = Sat.Parallel.set_polarity p;
-          e_solve =
-            (fun ?deadline assumptions ->
-              match cube_vars with
-              | [] -> Sat.Parallel.solve ~assumptions ?deadline p
-              | candidates ->
-                Sat.Cube.solve ~assumptions ?deadline p ~candidates);
-          e_model_value = Sat.Parallel.model_value p;
-          e_n_vars = (fun () -> Sat.Parallel.n_vars p);
-          e_stats = (fun () -> Sat.Parallel.stats p);
-        }
-      in
-      (eng, sink, None)
-    end
+  let solver = Sat.Solver.create () in
+  (* With certification on, every clause is recorded alongside the
+     solver's proof trace so each UNSAT bound can be re-checked by the
+     independent checker. *)
+  let recorder =
+    if certify then Some (Proof.Certificate.create solver) else None
+  in
+  let sink =
+    match recorder with
+    | Some r -> Proof.Certificate.sink r
+    | None -> Sat.Sink.of_solver solver
   in
   for _ = 1 to Instance.n_vars instance do
-    ignore (eng.e_new_var ())
+    ignore (Sat.Solver.new_var solver)
   done;
   List.iter sink.Sat.Sink.add_clause (Instance.hard instance);
   let relax = relaxation_lits sink (Instance.soft instance) in
   (* Bias the search towards satisfying the soft clauses so that the first
      model is already cheap and the descent starts near the optimum. *)
   List.iter
-    (fun (_, r) -> eng.e_set_polarity (Sat.Lit.var r) (not (Sat.Lit.sign r)))
+    (fun (_, r) ->
+      Sat.Solver.set_polarity solver (Sat.Lit.var r) (not (Sat.Lit.sign r)))
     relax;
   {
-    s_eng = eng;
+    s_solver = solver;
     s_sink = sink;
     s_relax = relax;
     s_unweighted = Instance.is_unweighted instance;
@@ -430,23 +377,12 @@ let start ?(certify = false) ?(jobs = 1) ?(cube_vars = []) ?incremental
    sessions over the same solver reuse each other's selector clauses. *)
 let attach ?(assumptions = []) ?bounds ?(lower_bound = 0) ~solver ~relax () =
   Obs.Metrics.incr m_solves;
-  let eng =
-    {
-      e_new_var = (fun () -> Sat.Solver.new_var solver);
-      e_set_polarity = Sat.Solver.set_polarity solver;
-      e_solve =
-        (fun ?deadline assumptions ->
-          Sat.Solver.solve ~assumptions ?deadline solver);
-      e_model_value = Sat.Solver.model_value solver;
-      e_n_vars = (fun () -> Sat.Solver.n_vars solver);
-      e_stats = (fun () -> Sat.Solver.stats solver);
-    }
-  in
   List.iter
-    (fun (_, r) -> eng.e_set_polarity (Sat.Lit.var r) (not (Sat.Lit.sign r)))
+    (fun (_, r) ->
+      Sat.Solver.set_polarity solver (Sat.Lit.var r) (not (Sat.Lit.sign r)))
     relax;
   {
-    s_eng = eng;
+    s_solver = solver;
     s_sink = Sat.Sink.of_solver solver;
     s_relax = relax;
     s_unweighted = List.for_all (fun (w, _) -> w = 1) relax;
@@ -463,13 +399,11 @@ let attach ?(assumptions = []) ?bounds ?(lower_bound = 0) ~solver ~relax () =
     s_result = None;
   }
 
-let solve ?deadline ?certify ?report ?jobs ?cube_vars ?incremental ?lower_bound
-    instance =
-  resume ?deadline ?report
-    (start ?certify ?jobs ?cube_vars ?incremental ?lower_bound instance)
+let solve ?deadline ?certify ?report ?incremental ?lower_bound instance =
+  resume ?deadline ?report (start ?certify ?incremental ?lower_bound instance)
 
 (* Convenience used by tests and the CLI. *)
-let optimal_cost ?deadline ?certify ?jobs ?cube_vars ?incremental instance =
-  match solve ?deadline ?certify ?jobs ?cube_vars ?incremental instance with
+let optimal_cost ?deadline ?certify ?incremental instance =
+  match solve ?deadline ?certify ?incremental instance with
   | Optimal o -> Some o.cost
   | Feasible _ | Unsatisfiable _ | Timeout -> None

@@ -48,8 +48,6 @@ val solve :
   ?deadline:float ->
   ?certify:bool ->
   ?report:(iteration:int -> cost:int -> stats:Sat.Solver.stats -> unit) ->
-  ?jobs:int ->
-  ?cube_vars:Sat.Lit.var list ->
   ?incremental:bool ->
   ?lower_bound:int ->
   Instance.t ->
@@ -61,15 +59,6 @@ val solve :
     iteration of the descent with the iteration number, the model's
     cost, and the {e live} solver stats (snapshot with
     {!Sat.Solver.copy_stats} if retained).
-
-    [jobs] (default 1) sets the solver parallelism of each descent step:
-    above 1, every SAT call runs a {!Sat.Parallel} portfolio of that
-    many clause-sharing CDCL domains, and [cube_vars] (the instance's
-    preferred branching skeleton — for the QMR encoding, the layer-0
-    map variables) additionally enables cube-and-conquer splitting via
-    {!Sat.Cube}.  [certify] forces [jobs] back to 1: imported clauses
-    are not RUP-derivable inside the importing solver's own DRUP trace,
-    so certified runs use the sequential engine.
 
     [incremental] (default [true]) activates each descent bound by a
     selector-literal assumption instead of a permanent unit clause; with
@@ -86,8 +75,6 @@ val solve :
 val optimal_cost :
   ?deadline:float ->
   ?certify:bool ->
-  ?jobs:int ->
-  ?cube_vars:Sat.Lit.var list ->
   ?incremental:bool ->
   Instance.t ->
   int option
@@ -107,13 +94,11 @@ type session
 
 val start :
   ?certify:bool ->
-  ?jobs:int ->
-  ?cube_vars:Sat.Lit.var list ->
   ?incremental:bool ->
   ?lower_bound:int ->
   Instance.t ->
   session
-(** Create the engine, load the instance, and return the (not yet run)
+(** Create the solver, load the instance, and return the (not yet run)
     descent.  Options as in {!solve}. *)
 
 val resume :

@@ -18,15 +18,6 @@ let all : info list =
     { name = "cache-unlocked-insert";
       site = "lib/service/cache.ml (add)";
       description = "LRU list surgery performed outside the cache lock" };
-    { name = "shared-plain-head";
-      site = "lib/sat/shared.ml (publish)";
-      description = "ring head bumped with a plain read-inc-write instead of fetch_and_add" };
-    { name = "shared-plain-slot";
-      site = "lib/sat/shared.ml (publish/drain)";
-      description = "ring slots accessed as plain cells instead of atomics" };
-    { name = "parallel-read-before-join";
-      site = "lib/sat/parallel.ml (fan_out)";
-      description = "caller reads member results before joining worker domains" };
     { name = "pool-unlocked-completed";
       site = "lib/service/pool.ml (worker)";
       description = "completed-job counter bumped outside the pool lock" };

@@ -9,8 +9,7 @@
    (most are flagged on all of them — happens-before detection is
    order-insensitive).
 
-   The scenarios run real production code paths: the ring, the
-   portfolio (jobs = 2 on a tiny UNSAT instance), the LRU cache, the
+   The scenarios run real production code paths: the LRU cache, the
    worker pool, the single-flight table and admission control.  The
    socket server itself is exercised only passively (its threads block
    in real I/O, which the cooperative scheduler must never serialize —
@@ -20,41 +19,6 @@
 module RD = Race.Sync.Domain
 
 type t = { s_name : string; s_run : unit -> unit }
-
-let lit v = Sat.Lit.of_var v
-let nlit v = Sat.Lit.of_var ~sign:false v
-
-(* Two publishers and one drainer on the shared clause ring. *)
-let shared_ring () =
-  let ring = Sat.Shared.create ~size:8 () in
-  let publisher src () =
-    for i = 0 to 2 do
-      Sat.Shared.publish ring ~src ~lbd:2 [| lit i; nlit (i + 1) |]
-    done
-  in
-  let drainer () =
-    let cursor = ref 0 in
-    for _ = 1 to 3 do
-      let _, c = Sat.Shared.drain ring ~src:2 ~cursor:!cursor in
-      cursor := c
-    done
-  in
-  let ds = [ RD.spawn (publisher 0); RD.spawn (publisher 1); RD.spawn drainer ] in
-  List.iter RD.join ds
-
-(* A two-member portfolio on a tiny UNSAT instance (pigeonhole: two
-   pigeons, one hole).  Exercises fan_out, the cancel flag, the decisive
-   CAS and the result cells. *)
-let parallel_portfolio () =
-  let p = Sat.Parallel.create ~jobs:2 ~glue_limit:4 ~ring_size:8 () in
-  let x0 = Sat.Parallel.new_var p and x1 = Sat.Parallel.new_var p in
-  Sat.Parallel.add_clause p [ lit x0 ];
-  Sat.Parallel.add_clause p [ lit x1 ];
-  Sat.Parallel.add_clause p [ nlit x0; nlit x1 ];
-  (match Sat.Parallel.solve p with
-  | Sat.Solver.Unsat -> ()
-  | Sat.Solver.Sat | Sat.Solver.Unknown ->
-    failwith "parallel_portfolio: expected UNSAT")
 
 (* Two readers/writers on the LRU cache: concurrent hits on a shared
    key plus concurrent inserts that force LRU surgery. *)
@@ -116,8 +80,6 @@ let admission () =
 
 let all : t list =
   [
-    { s_name = "shared-ring"; s_run = shared_ring };
-    { s_name = "parallel-portfolio"; s_run = parallel_portfolio };
     { s_name = "cache"; s_run = cache };
     { s_name = "pool"; s_run = pool };
     { s_name = "single-flight"; s_run = single_flight };
@@ -129,8 +91,6 @@ let find name = List.find_opt (fun s -> String.equal s.s_name name) all
 (* Which scenario reaches each mutant's injected bug. *)
 let scenario_for_mutant = function
   | "cache-unlocked-hit" | "cache-unlocked-insert" -> "cache"
-  | "shared-plain-head" | "shared-plain-slot" -> "shared-ring"
-  | "parallel-read-before-join" -> "parallel-portfolio"
   | "pool-unlocked-completed" | "pool-unlocked-stop" -> "pool"
   | "flight-role-outside-lock" | "flight-publish-unlocked"
   | "flight-progress-unfenced" ->

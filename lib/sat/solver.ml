@@ -67,7 +67,6 @@ type stats = {
   mutable glue_clauses : int;
   mutable deleted_clauses : int;
   mutable db_reductions : int;
-  mutable imported_clauses : int;
 }
 
 let copy_stats (s : stats) = { s with conflicts = s.conflicts }
@@ -84,8 +83,8 @@ let avg_learnt_lbd (s : stats) =
 (* Process-wide totals, aggregated over every solver instance.  The
    benchmark harness and the CLI read deltas of these around a routing
    call, which avoids threading a stats channel through every layer of
-   router/optimizer plumbing.  Atomics keep the parallel portfolio
-   (one solver per domain) race-free. *)
+   router/optimizer plumbing.  Atomics keep solvers on several domains
+   (slice-size portfolio members, serve pool workers) race-free. *)
 
 type totals = {
   total_propagations : int;
@@ -183,7 +182,6 @@ let m_propagations = Obs.Metrics.counter "sat.propagations"
 let m_restarts = Obs.Metrics.counter "sat.restarts"
 let m_reductions = Obs.Metrics.counter "sat.reduce_db"
 let m_learnts = Obs.Metrics.counter "sat.learnt_clauses"
-let m_imported = Obs.Metrics.counter "sat.imported_clauses"
 let g_props_per_s = Obs.Metrics.gauge "sat.props_per_s"
 
 (* ------------------------------------------------------------------ *)
@@ -224,18 +222,7 @@ type t = {
   mutable deadline : float;           (* 0.0 = none *)
   mutable stop : bool;
   mutable prop_countdown : int;
-  (* Cooperative cancellation for the parallel portfolio: polled at the
-     same cadence as the deadline, so a winning sibling stops this solver
-     within one check interval. *)
-  mutable cancel : bool Race.Sync.Atomic.t option;
-  (* Clause-exchange hooks (parallel portfolio).  [on_learnt] fires for
-     every learnt clause (the array is the live clause — callbacks must
-     copy); [import_fn] is drained at solve start and at every restart,
-     while the solver sits at level 0. *)
-  mutable on_learnt : (Lit.t array -> int -> unit) option;
-  mutable import_fn : (unit -> (Lit.t array * int) list) option;
-  (* Search-shape knobs, the portfolio's diversification surface. *)
-  mutable restart_base : float;
+  (* Learnt-DB reduction schedule (see [set_reduce_db_params]). *)
   mutable reduce_first : int;
   mutable reduce_inc : int;
   mutable next_reduce : int;          (* conflict count of the next pass *)
@@ -333,6 +320,9 @@ let deadline_check_interval = 2048
 (* Conflicts between sanitizer passes (power of two: tested with a mask). *)
 let sanitize_interval = 1024
 
+(* Base conflict budget of the Luby restart sequence. *)
+let restart_base = 100.0
+
 (* Glucose-style reduce_db schedule: first pass after [reduce_db_first]
    conflicts, then increasingly far apart.  Conflict counts accumulate
    across incremental [solve] calls, so reductions fire in long MaxSAT
@@ -379,10 +369,6 @@ let create ?sanitize () =
       deadline = 0.0;
       stop = false;
       prop_countdown = deadline_check_interval;
-      cancel = None;
-      on_learnt = None;
-      import_fn = None;
-      restart_base = 100.0;
       reduce_first = reduce_db_first;
       reduce_inc = reduce_db_inc;
       next_reduce = reduce_db_first;
@@ -405,7 +391,6 @@ let create ?sanitize () =
           glue_clauses = 0;
           deleted_clauses = 0;
           db_reductions = 0;
-          imported_clauses = 0;
         };
     }
   in
@@ -499,10 +484,7 @@ let propagate t =
     if t.prop_countdown <= 0 then begin
       t.prop_countdown <- deadline_check_interval;
       if t.deadline > 0.0 && Unix.gettimeofday () > t.deadline then
-        t.stop <- true;
-      (match t.cancel with
-      | Some c when Race.Sync.Atomic.get c -> t.stop <- true
-      | Some _ | None -> ())
+        t.stop <- true
     end;
     let false_lit = Lit.neg p in
     (* Binary implication lists: no clause memory touched, no watch
@@ -955,7 +937,6 @@ let sanitize_check_model t =
 
 let record_learnt t lits lbd =
   emit_learn t lits;
-  (match t.on_learnt with None -> () | Some f -> f lits lbd);
   t.stats.learnt_clauses <- t.stats.learnt_clauses + 1;
   let lbd = max 1 lbd in
   t.stats.learnt_lbd_sum <- t.stats.learnt_lbd_sum + lbd;
@@ -1053,59 +1034,6 @@ let reduce_db t =
   Vec.clear t.learnts;
   Vec.iter (fun c -> Vec.push t.learnts c) kept
 
-(* ------------------------------------------------------------------ *)
-(* Clause import (parallel portfolio).  Imports happen only at decision
-   level 0.  Every imported clause is a consequence of the shared problem
-   formula alone — a clause learnt under assumptions carries those
-   assumptions negated inside it — so attaching one preserves
-   equivalence.  It is NOT unit-propagation-derivable from this solver's
-   own trace, however, so imports are disabled while a proof sink is
-   installed (certify mode runs sequentially for exactly this reason). *)
-
-let import_clause t ((lits : Lit.t array), lbd) =
-  if
-    Array.length lits > 0
-    && Array.for_all (fun l -> Lit.var l < t.nvars) lits
-    && not (Array.exists (fun l -> value_lit t l = 1) lits)
-  then begin
-    let remaining =
-      Array.of_seq
-        (Seq.filter (fun l -> value_lit t l <> 0) (Array.to_seq lits))
-    in
-    match Array.length remaining with
-    | 0 ->
-      (* A consequence of the formula is root-falsified: F is unsat. *)
-      t.ok <- false
-    | 1 ->
-      t.stats.imported_clauses <- t.stats.imported_clauses + 1;
-      enqueue t remaining.(0) dummy_clause;
-      if propagate t != dummy_clause then t.ok <- false
-    | _ ->
-      let c =
-        {
-          lits = remaining;
-          cla_act = 0.0;
-          lbd = max 1 lbd;
-          learnt = true;
-          removed = false;
-        }
-      in
-      attach t c;
-      Vec.push t.learnts c;
-      t.stats.imported_clauses <- t.stats.imported_clauses + 1
-  end
-
-let do_imports t =
-  match t.import_fn with
-  | None -> ()
-  | Some _ when t.proof <> None -> ()
-  | Some drain ->
-    if t.ok && decision_level t = 0 then
-      List.iter (fun cl -> if t.ok then import_clause t cl) (drain ())
-
-let cancelled t =
-  match t.cancel with Some c -> Race.Sync.Atomic.get c | None -> false
-
 (* Luby restart sequence. *)
 let luby y i =
   let rec size_seq sz seq = if sz < i + 1 then size_seq ((2 * sz) + 1) (seq + 1) else (sz, seq) in
@@ -1149,35 +1077,6 @@ let analyze_final t p =
     Bytes.set t.seen (Lit.var p) mark_none
   end;
   List.sort_uniq Lit.compare !core
-
-(* Lookahead probe for cube-and-conquer: decide [l] at a fresh level,
-   propagate, report the trail growth, and undo.  [None] means the probe
-   hit a conflict (under no assumptions, so the literal fails at the
-   root); [Some 0] means the literal is already assigned.  Only legal
-   between [solve] calls (decision level 0). *)
-let probe_literal t l =
-  if not t.ok then None
-  else begin
-    if Lit.var l >= t.nvars then invalid_arg "Solver.probe_literal";
-    cancel_until t 0;
-    if propagate t != dummy_clause then begin
-      t.ok <- false;
-      emit_refutation t;
-      None
-    end
-    else
-      match value_lit t l with
-      | 1 -> Some 0
-      | 0 -> None
-      | _ ->
-        let base = t.trail.lits_n in
-        push_int t.trail_lim base;
-        enqueue t l dummy_clause;
-        let confl = propagate t in
-        let delta = t.trail.lits_n - base in
-        cancel_until t 0;
-        if confl != dummy_clause then None else Some delta
-  end
 
 let record_solve_totals t ~before ~elapsed =
   let s = t.stats in
@@ -1225,12 +1124,8 @@ let solve_with_core ?(assumptions = []) ?deadline t =
          raise (Found_result Unsat)
        end;
        if t.stop then raise (Found_result Unknown);
-       do_imports t;
-       if not t.ok then raise (Found_result Unsat);
        while true do
-         let restart_budget =
-           int_of_float (t.restart_base *. luby 2.0 !restarts)
-         in
+         let restart_budget = int_of_float (restart_base *. luby 2.0 !restarts) in
          let conflicts_here = ref 0 in
          let restart = ref false in
          while not !restart do
@@ -1256,8 +1151,8 @@ let solve_with_core ?(assumptions = []) ?deadline t =
                 this covers analysis-heavy stretches of short ones. *)
              if
                t.stats.conflicts land 255 = 0
-               && ((t.deadline > 0.0 && Unix.gettimeofday () > t.deadline)
-                  || cancelled t)
+               && t.deadline > 0.0
+               && Unix.gettimeofday () > t.deadline
              then raise (Found_result Unknown);
              if !conflicts_here >= restart_budget then begin
                restart := true;
@@ -1273,9 +1168,7 @@ let solve_with_core ?(assumptions = []) ?deadline t =
                          /. dt );
                      ]
                end;
-               cancel_until t 0;
-               do_imports t;
-               if not t.ok then raise (Found_result Unsat)
+               cancel_until t 0
              end
            end
            else begin
@@ -1334,7 +1227,6 @@ let solve_with_core ?(assumptions = []) ?deadline t =
     Obs.Metrics.add m_restarts (s.restarts - before.restarts);
     Obs.Metrics.add m_reductions (s.db_reductions - before.db_reductions);
     Obs.Metrics.add m_learnts (s.learnt_clauses - before.learnt_clauses);
-    Obs.Metrics.add m_imported (s.imported_clauses - before.imported_clauses);
     if elapsed > 0.0 then
       Obs.Metrics.set g_props_per_s
         (float_of_int (s.propagations - before.propagations) /. elapsed);
@@ -1371,16 +1263,6 @@ let model_value t v =
   t.model.(v) = 1
 
 let set_proof_sink t sink = t.proof <- sink
-
-let set_on_learnt t f = t.on_learnt <- f
-
-let set_import t f = t.import_fn <- f
-
-let set_cancel t c = t.cancel <- c
-
-let set_restart_base t b =
-  if b < 1.0 then invalid_arg "Solver.set_restart_base";
-  t.restart_base <- b
 
 let set_reduce_db_params t ~first ~inc =
   if first < 1 || inc < 0 then invalid_arg "Solver.set_reduce_db_params";

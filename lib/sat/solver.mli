@@ -26,8 +26,6 @@ type stats = {
   mutable glue_clauses : int;  (** learnt clauses with LBD <= 2 *)
   mutable deleted_clauses : int;  (** learnts evicted by [reduce_db] *)
   mutable db_reductions : int;  (** number of [reduce_db] passes *)
-  mutable imported_clauses : int;
-      (** clauses adopted from portfolio siblings via {!set_import} *)
 }
 
 val copy_stats : stats -> stats
@@ -42,8 +40,8 @@ val avg_learnt_lbd : stats -> float
 (** {2 Process-wide totals}
 
     Counters aggregated across every solver instance in the process
-    (updated once per [solve] call, atomically, so the parallel portfolio
-    is accounted correctly).  Benchmarks and the CLI read deltas of these
+    (updated once per [solve] call, atomically, so solvers running on
+    several domains are accounted correctly).  Benchmarks and the CLI read deltas of these
     around a routing call instead of threading a stats channel through
     every layer. *)
 
@@ -128,43 +126,10 @@ val sanitize_check : t -> unit
     Exposed for tests and for post-mortem checks around a suspect
     [solve] call. *)
 
-val set_on_learnt : t -> (Lit.t array -> int -> unit) option -> unit
-(** Install (or remove) a learnt-clause export callback, called as
-    [f lits lbd] for every clause learnt during search — the clause-
-    sharing tap of the parallel portfolio.  [lits] is the solver's live
-    clause array: callbacks must copy it and must not block.  [None]
-    (the default) costs one branch per learnt clause. *)
-
-val set_import : t -> (unit -> (Lit.t array * int) list) option -> unit
-(** Install (or remove) a clause-import source.  The solver drains it —
-    a list of [(lits, lbd)] pairs — at the start of every [solve] call
-    and at every restart, always at decision level 0.  Imported clauses
-    must be consequences of the solver's problem formula (clause sharing
-    between portfolio members over the same instance qualifies: clauses
-    learnt under assumptions carry those assumptions negated).  Imports
-    are silently disabled while a proof sink is installed, because an
-    imported clause is not RUP-derivable within this solver's own trace. *)
-
-val set_cancel : t -> bool Race.Sync.Atomic.t option -> unit
-(** Install (or remove) a cooperative cancellation flag, polled at the
-    same cadence as the deadline; when it reads [true] the search gives
-    up and returns [Unknown]. *)
-
-val set_restart_base : t -> float -> unit
-(** Base conflict budget of the Luby restart sequence (default 100).
-    Raises [Invalid_argument] below 1. *)
-
 val set_reduce_db_params : t -> first:int -> inc:int -> unit
 (** Learnt-DB reduction schedule: the first pass fires after [first]
     conflicts, each later pass [first + inc * passes] conflicts after
     the previous one (glucose-style; defaults 2000/300). *)
-
-val probe_literal : t -> Lit.t -> int option
-(** Lookahead probe: decide the literal at a fresh decision level,
-    propagate, undo, and return the number of literals the propagation
-    fixed (the literal itself included).  [None] when the probe hit a
-    conflict — the literal fails at the root; [Some 0] when it is
-    already assigned.  Only legal between [solve] calls. *)
 
 val set_proof_sink : t -> Proof.sink option -> unit
 (** Install (or remove) a proof-event sink.  While a sink is installed the

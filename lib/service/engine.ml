@@ -23,7 +23,7 @@ let create ?workers ?(solver_jobs = 1) ?(cache_size = 256)
     | Some w -> max 1 w
     | None -> max 1 (Domain.recommended_domain_count () - 1)
   in
-  (* Per-request CDCL parallelism multiplies per worker; cap the product
+  (* A portfolio request's domains multiply per worker; cap the product
      at the machine's domain budget so a busy pool cannot oversubscribe. *)
   let solver_jobs =
     let budget =

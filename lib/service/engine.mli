@@ -29,8 +29,9 @@ val create :
   unit ->
   t
 (** [workers] defaults to [Domain.recommended_domain_count () - 1]
-    (at least 1); [solver_jobs] (default 1) is the per-request CDCL
-    portfolio width ([Router.config.solver_parallelism]), capped at
+    (at least 1); [solver_jobs] (default 1) is how many domains a
+    [portfolio] request runs its slice-size members on
+    ([Router.config.solver_parallelism]), capped at
     [recommended_domain_count / workers] so the pool's total domain
     fan-out stays within the machine budget; [cache_size]
     (request-level entries) to 256; [block_cache_size] to 4096;
@@ -136,5 +137,5 @@ val restored_entries : t -> int
 val pool : t -> Pool.t
 
 val solver_jobs : t -> int
-(** The effective per-request CDCL parallelism after the worker-budget
-    cap was applied. *)
+(** The effective per-request portfolio domain count after the
+    worker-budget cap was applied. *)

@@ -369,7 +369,7 @@ let test_attach_bound_activation () =
   | _ -> Alcotest.fail "phase 2: expected Optimal"
 
 let test_optimal_cost_options () =
-  (* optimal_cost forwards jobs / cube_vars / incremental to solve. *)
+  (* optimal_cost forwards certify / incremental to solve. *)
   let inst =
     Maxsat.Instance.create ~n_vars:3
       ~hard:[ [ lit 0; lit 1; lit 2 ] ]
@@ -389,10 +389,7 @@ let test_optimal_cost_options () =
     (Maxsat.Optimizer.optimal_cost ~incremental:false inst);
   Alcotest.(check (option int))
     "certified" expect
-    (Maxsat.Optimizer.optimal_cost ~certify:true inst);
-  Alcotest.(check (option int))
-    "portfolio + cubes" expect
-    (Maxsat.Optimizer.optimal_cost ~jobs:2 ~cube_vars:[ 0; 1 ] inst)
+    (Maxsat.Optimizer.optimal_cost ~certify:true inst)
 
 (* ------------------------------------------------------------------ *)
 (* Core-guided engine (Fu-Malik / WPM1) *)

@@ -207,7 +207,7 @@ let test_explore_pct_clean () =
   Race.Explore.fresh ()
 
 (* ------------------------------------------------------------------ *)
-(* Mutants: one spot check per subsystem (the full 11-mutant corpus is
+(* Mutants: one spot check per subsystem (the full eight-mutant corpus is
    the bench/race_smoke gate; tests keep to a fast subset). *)
 
 let mutant_caught name =
@@ -264,8 +264,8 @@ let test_race_and_sanitize_compose () =
       Race.Report.reset ();
       if not was_on then Race.Runtime.disable ())
     (fun () ->
-      (* A sanitized solve inside an instrumented portfolio: both layers
-         live at once, neither trips. *)
+      (* A sanitized solve with the race instrumentation on: both
+         layers live at once, neither trips. *)
       let s = Sat.Solver.create ~sanitize:true () in
       Alcotest.(check bool) "sanitizer armed" true
         (Sat.Solver.sanitize_enabled s);

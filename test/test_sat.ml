@@ -365,6 +365,29 @@ let test_reduce_db () =
     (st.deleted_clauses + (before - after))
     st'.deleted_clauses
 
+(* Regression: the old size-based trigger never fired at mapping scale,
+   leaving reduce_db/deletions at 0 in every bench row; the conflict-count
+   schedule must fire. *)
+let test_reduce_db_fires () =
+  let s = pigeonhole_solver ~pigeons:6 ~holes:5 in
+  Sat.Solver.set_reduce_db_params s ~first:60 ~inc:30;
+  Alcotest.check check_result "php(6,5) unsat" Sat.Solver.Unsat
+    (Sat.Solver.solve s);
+  let st = Sat.Solver.stats s in
+  Alcotest.(check bool) "at least one reduction pass" true
+    (st.Sat.Solver.db_reductions >= 1);
+  Alcotest.(check bool) "clauses were deleted" true
+    (st.Sat.Solver.deleted_clauses > 0)
+
+let test_reduce_db_params_validated () =
+  let s = Sat.Solver.create () in
+  Alcotest.check_raises "first must be >= 1"
+    (Invalid_argument "Solver.set_reduce_db_params") (fun () ->
+      Sat.Solver.set_reduce_db_params s ~first:0 ~inc:10);
+  Alcotest.check_raises "inc must be >= 0"
+    (Invalid_argument "Solver.set_reduce_db_params") (fun () ->
+      Sat.Solver.set_reduce_db_params s ~first:10 ~inc:(-1))
+
 let test_deadline_returns_unknown () =
   (* An already-expired deadline must stop the search almost immediately,
      even though php(7,6) takes thousands of conflicts to refute. *)
@@ -650,6 +673,12 @@ let suite =
         Alcotest.test_case "reduce_db" `Quick test_reduce_db;
         Alcotest.test_case "expired deadline" `Quick
           test_deadline_returns_unknown;
+      ] );
+    ( "reduce-db",
+      [
+        Alcotest.test_case "forced reduction" `Quick test_reduce_db_fires;
+        Alcotest.test_case "param validation" `Quick
+          test_reduce_db_params_validated;
       ] );
     ( "card",
       [

@@ -740,14 +740,31 @@ let test_router_portfolio () =
       | Satmap.Router.Failed _ -> ())
     per_size
 
+(* Members on two domains give the same per-size routings, in [sizes]
+   order, and the same best as one after another. *)
 let test_router_parallel_portfolio () =
   let device, circuit = running_example () in
-  let best, per_size =
-    Satmap.Router.route_portfolio_parallel ~config:quick_config
+  let run jobs =
+    Satmap.Router.route_portfolio
+      ~config:{ quick_config with solver_parallelism = jobs }
       ~sizes:[ 1; 2; 100 ] device circuit
   in
-  Alcotest.(check int) "three entries" 3 (List.length per_size);
-  let r, _ = get_routed best in
+  let routing = function
+    | Satmap.Router.Routed (r, _) ->
+      Some
+        ( Satmap.Routed.n_swaps r,
+          Quantum.Qasm.to_string (Satmap.Routed.circuit r) )
+    | Satmap.Router.Failed _ -> None
+  in
+  let summary (best, per_size) =
+    (routing best, List.map (fun (size, o) -> (size, routing o)) per_size)
+  in
+  let sequential = run 1 in
+  let parallel = run 2 in
+  let outcome = Alcotest.(option (pair int string)) in
+  Alcotest.(check (pair outcome (list (pair int outcome))))
+    "same outcomes as sequential" (summary sequential) (summary parallel);
+  let r, _ = get_routed (fst parallel) in
   Alcotest.(check int) "optimal found in parallel" 1 (Satmap.Routed.n_swaps r);
   Alcotest.(check bool) "verifies" true
     (Satmap.Verifier.is_valid ~original:circuit r)
@@ -759,11 +776,24 @@ let test_router_expired_timeout () =
     Workloads.Generators.uniform_random rng ~n:10 ~gates:60
   in
   let config = { Satmap.Router.default_config with timeout = 0.0 } in
-  match Satmap.Router.route_sliced ~config ~slice_size:10 device circuit with
+  (match Satmap.Router.route_sliced ~config ~slice_size:10 device circuit with
   | Satmap.Router.Failed _ -> ()
   | Satmap.Router.Routed _ ->
     (* acceptable if the first deadline check passed before expiry *)
-    ()
+    ());
+  (* A block too big to encode in no time cannot route: the zero budget
+     fails fast with a timeout classification. *)
+  let big =
+    Workloads.Generators.local_random (Rng.create 7) ~n:15 ~gates:120
+      ~locality:0.5
+  in
+  match Satmap.Router.route_monolithic ~config device big with
+  | Satmap.Router.Failed msg ->
+    Alcotest.(check bool)
+      ("zero budget fails with a timeout, got: " ^ msg)
+      true
+      (msg = "encode timeout" || msg = "timeout")
+  | Satmap.Router.Routed _ -> Alcotest.fail "zero budget cannot route"
 
 (* Regression: classify_block_result must map optimizer verdicts purely
    structurally.  The old code re-read the wall clock and filed a late
