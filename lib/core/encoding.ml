@@ -497,18 +497,21 @@ module Session = struct
 
   let m_reused_clauses = Obs.Metrics.counter "encode.reused_clauses"
 
-  (* The exact clause stream a skeleton build delivered to its solver.
-     Replaying it into a fresh solver reproduces the cold-build solver
-     state bit for bit (same variables in the same order, same clauses
-     in the same order, no learnt clauses, no saved phases), while
-     skipping the emitter walk and the sanitizer — which is what makes
-     cross-request warm reuse safe for the serving tier's determinism
-     invariants (byte-identical answers regardless of which requests a
-     shard served before; see Service.Warm). *)
+  (* The exact clause stream a skeleton build delivered to its solver,
+     packed into one int array ({!Sat.Solver.add_packed}'s format: per
+     clause its literal count, then its literals).  Replaying it into a
+     fresh solver reproduces the cold-build solver state bit for bit
+     (same variables in the same order, same clauses in the same order,
+     no learnt clauses, no saved phases), while skipping the emitter walk
+     and the sanitizer — which is what makes cross-request warm reuse
+     safe for the serving tier's determinism invariants (byte-identical
+     answers regardless of which requests a shard served before; see
+     Service.Warm).  Packed, a recorded skeleton is one unboxed block
+     instead of a list cell per literal for the GC to promote and trace. *)
   type recipe = {
     rc_layout : enc;
     rc_n_vars : int;
-    rc_clauses : Sat.Lit.t list list;  (** in emission order *)
+    rc_clauses : int array;  (** packed, in emission order *)
     rc_relax : (int * Sat.Lit.t) list;
     rc_count : int;
   }
@@ -594,7 +597,18 @@ module Session = struct
       ignore (Sat.Solver.new_var solver)
     done;
     let stats = Sat.Sink.sanitize_stats () in
-    let recorded = ref [] in
+    let packed = ref (Array.make 4096 0) and words = ref 0 in
+    let record c =
+      let n = List.length c in
+      if !words + n + 1 > Array.length !packed then begin
+        let a = Array.make (2 * (!words + n + 1)) 0 in
+        Array.blit !packed 0 a 0 !words;
+        packed := a
+      end;
+      !packed.(!words) <- n;
+      List.iteri (fun i (l : Sat.Lit.t) -> !packed.(!words + 1 + i) <- (l :> int)) c;
+      words := !words + n + 1
+    in
     let sink =
       (* Tee the sanitized clause stream into the recipe on its way to
          the solver, so a later thaw can replay exactly what the solver
@@ -605,7 +619,7 @@ module Session = struct
             fresh_var = (fun () -> Sat.Solver.new_var solver);
             add_clause =
               (fun c ->
-                recorded := c :: !recorded;
+                record c;
                 Sat.Solver.add_clause solver c);
           }
     in
@@ -639,7 +653,7 @@ module Session = struct
         {
           rc_layout = lay;
           rc_n_vars = Sat.Solver.n_vars solver;
-          rc_clauses = List.rev !recorded;
+          rc_clauses = Array.sub !packed 0 !words;
           rc_relax = relax;
           rc_count = stats.Sat.Sink.clauses_seen;
         };
@@ -653,11 +667,7 @@ module Session = struct
     for _ = 1 to recipe.rc_n_vars do
       ignore (Sat.Solver.new_var solver)
     done;
-    List.iteri
-      (fun i c ->
-        if i land 4095 = 0 then check ();
-        Sat.Solver.add_clause solver c)
-      recipe.rc_clauses;
+    Sat.Solver.add_packed ~check solver recipe.rc_clauses;
     Obs.Metrics.add m_reused_clauses recipe.rc_count;
     {
       sk_solver = solver;
@@ -693,10 +703,31 @@ module Session = struct
         (* Clear first: a mid-build Encode_timeout must not leave a
            half-emitted skeleton behind as reusable. *)
         t.skeleton <- None;
-        let sk =
+        let load () =
           match recipe with
-          | Some r when same_shape r.rc_layout act_lay -> thaw ?deadline r
-          | _ -> build_skeleton ?deadline act_lay
+          | Some r when same_shape r.rc_layout act_lay -> (thaw ?deadline r, true)
+          | _ -> (build_skeleton ?deadline act_lay, false)
+        in
+        let sk =
+          if not (Obs.Trace.enabled ()) then fst (load ())
+          else begin
+            (* The load gets its own span, so a trace (and a self-time
+               rollup) tells skeleton loading apart from block work. *)
+            let span = Obs.Trace.start "encode.skeleton" in
+            match load () with
+            | sk, thawed ->
+              Obs.Trace.stop span
+                ~args:
+                  [
+                    ("vars", Obs.Trace.Int (Sat.Solver.n_vars sk.sk_solver));
+                    ("clauses", Obs.Trace.Int sk.sk_clauses);
+                    ("thawed", Obs.Trace.Bool thawed);
+                  ];
+              sk
+            | exception e ->
+              Obs.Trace.stop span;
+              raise e
+          end
         in
         t.skeleton <- Some sk;
         (sk, false)

@@ -155,13 +155,15 @@ module Session : sig
   (** Reuse the live skeleton when the shape matches (same device,
       logical-qubit count, [n_swaps], flags, and a slot count that fits —
       shorter slices are padded with forced no-ops), otherwise rebuild.
-      Raises {!Encode_timeout} past [deadline] and [Invalid_argument] on
-      an unsupported objective. *)
+      A build or a thaw runs inside an [encode.skeleton] trace span
+      (args [vars], [clauses], [thawed]).  Raises {!Encode_timeout} past
+      [deadline] and [Invalid_argument] on an unsupported objective. *)
 
   val freeze : t -> unit
   (** Demote the live skeleton to a replayable recipe and drop its
       solver.  The next {!prepare} on the {e exact} same shape replays
-      the recorded clause stream into a fresh solver, reconstructing the
+      the recorded clause stream (packed into one int array) into a
+      fresh solver with {!Sat.Solver.add_packed}, reconstructing the
       state a cold build would have produced bit-for-bit — so a session
       parked across requests (e.g. in a warm pool) answers
       byte-identically to a cold one, with no learnt clauses, saved

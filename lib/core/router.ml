@@ -813,14 +813,24 @@ let run_member ~config ~size device circuit =
 (* Member i runs on domain i mod k; the caller's domain is domain 0.
    Members share the immutable device and circuit and the config's
    domain-safe hooks.  Every domain is joined before a member's exception
-   is re-raised. *)
+   is re-raised.  [config.timeout] covers the whole call: as a member
+   starts, it gets the time left before the call's deadline divided by
+   the members still to run on its domain, so time a member leaves
+   unspent passes on to the next. *)
 let route_portfolio ?(config = default_config) ?(sizes = [ 10; 25; 50; 100 ])
     device circuit =
+  let deadline = Unix.gettimeofday () +. config.timeout in
   let k = max 1 (min config.solver_parallelism (List.length sizes)) in
   let config = if k = 1 then config else { config with warm_session = None } in
   let share d =
-    List.filteri (fun i _ -> i mod k = d) sizes
-    |> List.map (fun size -> run_member ~config ~size device circuit)
+    let mine = List.filteri (fun i _ -> i mod k = d) sizes in
+    let n = List.length mine in
+    List.mapi
+      (fun i size ->
+        let left = deadline -. Unix.gettimeofday () in
+        let timeout = Float.max 0.0 left /. float_of_int (n - i) in
+        run_member ~config:{ config with timeout } ~size device circuit)
+      mine
     |> Array.of_list
   in
   let settle f = match f () with r -> Ok r | exception e -> Error e in

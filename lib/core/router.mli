@@ -302,6 +302,9 @@ val route_portfolio :
     [sizes] order) and the per-size outcomes in [sizes] order.  The
     members run on k = min [config.solver_parallelism] (number of sizes)
     domains, the caller's among them: member i runs on domain i mod k.
+    [config.timeout] bounds the whole call: each member, as it starts,
+    gets the time left before that deadline divided by the members still
+    to run on its domain.
     Above one domain the [warm_session] is dropped (it is not
     domain-safe), so each member builds its own.  There is no core-count
     cap: a caller that runs portfolios side by side divides the machine

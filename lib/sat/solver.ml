@@ -1,20 +1,25 @@
 (* A CDCL SAT solver, upgraded from the MiniSat-2005 baseline to a
    Glucose-class engine:
 
-   - long-clause watch lists are flat parallel arrays of clauses and
-     blocker literals; the blocker is tested before the clause is loaded,
-     so a watcher whose blocker is true is kept without touching clause
-     memory, and a kept watcher is written back only when it has moved;
+   - every clause lives in one growable [int] arena (see "Clause arena"
+     below); a clause is named by the offset of its header, so watch
+     lists, reasons and the clause lists are arrays of immediates and no
+     assignment, watcher move or relocation passes a write barrier;
+   - long-clause watch lists are flat (clause, blocker) pairs; the blocker
+     is tested before the clause is loaded, so a watcher whose blocker is
+     true is kept without touching clause memory, and a kept watcher is
+     written back only when it has moved;
    - binary clauses live in dedicated implication lists of the same
      layout (clause, implied literal) and propagate without any clause
      inspection;
-   - reasons are a plain clause array, with [dummy_clause] meaning "no
-     reason", and the trail, its level limits and the conflict-analysis
-     scratch are monomorphic stacks of immediates, so an assignment
-     allocates nothing;
+   - reasons are an [int] array of clause references, with [no_clause]
+     meaning "no reason", and the trail, its level limits and the
+     conflict-analysis scratch are monomorphic stacks of immediates, so
+     an assignment allocates nothing;
    - every learnt clause carries its literal-block distance (LBD); the
      learnt database is reduced glucose-style (glue clauses with LBD <= 2
-     are kept forever, evictions sorted by LBD then activity);
+     are kept forever, evictions sorted by LBD then activity), and the
+     arena is compacted once most of it is dead;
    - conflict clauses are minimized recursively (MiniSat ccmin=2) by an
      explicit depth-first walk that caches redundant and failed nodes;
    - deadlines are also checked inside [propagate] (every
@@ -24,27 +29,47 @@
    Literal/variable conventions follow {!Lit}: literals are packed
    integers so they can index the watch-list arrays directly.  A clause
    watches its first two literals; a watch list is keyed by the watched
-   literal itself and visited when that literal becomes false. *)
+   literal itself and visited when that literal becomes false.  Inside
+   this module the hot paths work on literals as plain [int]s
+   ([l lsr 1] is the variable, [l lxor 1] the negation) and turn an
+   arena word back into a [Lit.t] with [lit_of_int]. *)
 
-type clause = {
-  mutable lits : Lit.t array;
-  mutable cla_act : float;
-  mutable lbd : int;  (* literal-block distance; 0 for problem clauses *)
-  learnt : bool;
-  mutable removed : bool;
-}
+(* The unchecked int -> literal conversion for words read back from the
+   arena and the watch lists, which only ever hold literals this solver
+   stored there.  Private to the sat library: [Lit.t] stays unforgeable
+   for every client. *)
+external lit_of_int : int -> Lit.t = "%identity"
 
-(* A watch list.  Slot [i < w_n] of a long-clause list holds a clause of
-   length >= 3 watched at the key literal, with [w_lit.(i)] its blocker:
-   some literal of the clause (initially the other watched one) whose
-   truth means the clause is satisfied.  Slot [i] of a binary list holds
-   a binary clause and [w_lit.(i)], the literal it implies when the key
-   literal becomes false. *)
-type watches = {
-  mutable w_cls : clause array;
-  mutable w_lit : Lit.t array;
-  mutable w_n : int;
-}
+(* ------------------------------------------------------------------ *)
+(* Clause arena.
+
+   A clause reference (cref) is the offset of a clause's header in
+   [t.arena]; the clause's literals follow the header:
+
+     arena.(c)             number of literals
+     arena.(c + 1)         LBD lsl 2 lor learnt bit (2) lor removed bit (1)
+     arena.(c + 2)         learnt: its slot in [t.cla_act]; problem: -1
+     arena.(c + hdr + k)   literal k, as an int
+
+   Clauses are only appended; [reduce_db] marks evicted clauses removed
+   and counts their words as [wasted], and [compact] copies the live
+   ones into a fresh arena once most of it is dead, relocating every
+   cref held by a watcher, a reason or a clause list.  Problem clauses
+   are never removed. *)
+
+let hdr = 3
+let no_clause = -1  (* the reason of decisions and root facts *)
+let removed_bit = 1
+let learnt_bit = 2
+
+(* A watch list.  Pair [i] occupies [w.(2i)] and [w.(2i+1)], below
+   [w_n] (a count of words).  In a long-clause list the pair is a clause
+   of length >= 3 watched at the key literal and its blocker: some
+   literal of the clause (initially the other watched one) whose truth
+   means the clause is satisfied.  In a binary list it is a binary
+   clause and the literal it implies when the key literal becomes
+   false. *)
+type watches = { mutable w : int array; mutable w_n : int }
 
 (* Growable stacks of immediates ([Lit.t] is a private [int]): reads and
    writes compile to plain loads and stores, with no write barrier and no
@@ -67,6 +92,7 @@ type stats = {
   mutable glue_clauses : int;
   mutable deleted_clauses : int;
   mutable db_reductions : int;
+  mutable compactions : int;
 }
 
 let copy_stats (s : stats) = { s with conflicts = s.conflicts }
@@ -187,15 +213,20 @@ let g_props_per_s = Obs.Metrics.gauge "sat.props_per_s"
 (* ------------------------------------------------------------------ *)
 
 type t = {
-  (* Clause database *)
-  clauses : clause Vec.t;
-  learnts : clause Vec.t;
+  (* Clause database: the arena and the crefs of its live clauses. *)
+  mutable arena : int array;
+  mutable arena_n : int;              (* words in use *)
+  mutable wasted : int;               (* words of removed clauses *)
+  mutable cla_act : float array;      (* learnt-clause activities, by slot *)
+  mutable act_n : int;                (* slots in use *)
+  clauses : int_stack;                (* problem clauses of length >= 2 *)
+  learnts : int_stack;                (* live learnt clauses *)
   (* Assignment state; arrays are indexed by variable unless noted. *)
   mutable assigns : int array;        (* -1 undef / 0 false / 1 true *)
   mutable level : int array;
   (* [reason.(v)] is meaningful only while [v] is assigned: every
      assignment overwrites it, so backtracking leaves it stale. *)
-  mutable reason : clause array;      (* dummy_clause = decision/root *)
+  mutable reason : int array;         (* cref, or no_clause *)
   mutable watches : watches array;        (* indexed by literal *)
   mutable bin_watches : watches array;    (* indexed by literal *)
   trail : lit_stack;
@@ -210,9 +241,11 @@ type t = {
   (* Conflict-analysis scratch, all empty between conflicts. *)
   mutable seen : Bytes.t;             (* per variable, see [mark_*] *)
   an_learnt : lit_stack;              (* non-UIP literals, discovery order *)
+  an_out : int_stack;                 (* the clause being learnt *)
   an_toclear : int_stack;             (* variables whose mark is set *)
   an_stack : lit_stack;               (* minimization walk: path nodes *)
   an_index : int_stack;               (* ... and their next reason index *)
+  add_buf : int_stack;                (* [add_clause]'s normalization *)
   mutable lbd_stamp : int array;      (* indexed by decision level *)
   mutable lbd_gen : int;
   mutable nvars : int;
@@ -228,7 +261,8 @@ type t = {
   mutable next_reduce : int;          (* conflict count of the next pass *)
   (* Proof logging: [None] (the default) costs one branch per learnt
      clause; when set, every learnt clause, level-0 refutation and
-     [reduce_db] eviction is reported (see {!Proof}). *)
+     [reduce_db] eviction is reported (see {!Proof}), its literals
+     copied out of the arena. *)
   mutable proof : Proof.sink option;
   (* Invariant sanitizer: when true, [sanitize_check] runs every
      [sanitize_interval] conflicts (and the model is re-checked against
@@ -240,26 +274,32 @@ type t = {
 
 exception Sanitizer_violation of string
 
-let emit_learn t lits =
-  match t.proof with
-  | None -> ()
-  | Some sink -> sink (Proof.Learn (Array.copy lits))
+(* Clause accessors.  [c] is a cref; the [unsafe] reads in the hot paths
+   below use crefs the solver stored itself. *)
+let[@inline] c_size t c = Array.unsafe_get t.arena c
+let[@inline] c_meta t c = Array.unsafe_get t.arena (c + 1)
+let[@inline] c_learnt t c = c_meta t c land learnt_bit <> 0
+let[@inline] c_removed t c = c_meta t c land removed_bit <> 0
+let[@inline] c_lbd t c = c_meta t c lsr 2
+let[@inline] c_lit t c k = Array.unsafe_get t.arena (c + hdr + k)
 
-let emit_delete t lits =
+let set_lbd t c lbd =
+  t.arena.(c + 1) <- (lbd lsl 2) lor (t.arena.(c + 1) land 3)
+
+(* Proof events own their literals, so a clause is copied out of the
+   arena, and only while a sink is installed. *)
+let emit_delete t c =
   match t.proof with
   | None -> ()
-  | Some sink -> sink (Proof.Delete (Array.copy lits))
+  | Some sink ->
+    sink (Proof.Delete (Array.init (c_size t c) (fun k -> lit_of_int (c_lit t c k))))
 
 (* The empty clause: emitted once, at the moment level-0 unsatisfiability
    is established ([ok] flips to false). *)
-let emit_refutation t = emit_learn t [||]
+let emit_refutation t =
+  match t.proof with None -> () | Some sink -> sink (Proof.Learn [||])
 
 let dummy_lit = Lit.of_var 0
-
-(* The "no clause" sentinel: the reason of decisions and root facts, and
-   [propagate]'s "no conflict".  Compared with [==] only. *)
-let dummy_clause =
-  { lits = [||]; cla_act = 0.0; lbd = 0; learnt = false; removed = true }
 
 (* Conflict-analysis marks in [seen].  [mark_source]: the variable occurs
    in the clause being learnt; [mark_removable]/[mark_failed]: the
@@ -292,22 +332,46 @@ let push_int s x =
   Array.unsafe_set s.ints_a n x;
   s.ints_n <- n + 1
 
-let no_watches () = { w_cls = [||]; w_lit = [||]; w_n = 0 }
+let no_watches () = { w = [||]; w_n = 0 }
 
-let watch (ws : watches) c l =
+let watch (ws : watches) c (l : int) =
   let n = ws.w_n in
-  if n = Array.length ws.w_cls then begin
-    let cap = max 4 (2 * n) in
-    let cls = Array.make cap dummy_clause in
-    Array.blit ws.w_cls 0 cls 0 n;
-    let lit = Array.make cap dummy_lit in
-    Array.blit ws.w_lit 0 lit 0 n;
-    ws.w_cls <- cls;
-    ws.w_lit <- lit
+  if n = Array.length ws.w then begin
+    let a = Array.make (max 8 (2 * n)) 0 in
+    Array.blit ws.w 0 a 0 n;
+    ws.w <- a
   end;
-  Array.unsafe_set ws.w_cls n c;
-  Array.unsafe_set ws.w_lit n l;
-  ws.w_n <- n + 1
+  Array.unsafe_set ws.w n c;
+  Array.unsafe_set ws.w (n + 1) l;
+  ws.w_n <- n + 2
+
+(* Append a clause of [n] literals, read from [src.(0 .. n-1)], and
+   return its cref.  A learnt clause gets a fresh activity slot. *)
+let alloc_clause t (src : int array) n ~learnt ~lbd =
+  let need = t.arena_n + hdr + n in
+  if need > Array.length t.arena then begin
+    let a = Array.make (max need (2 * Array.length t.arena)) 0 in
+    Array.blit t.arena 0 a 0 t.arena_n;
+    t.arena <- a
+  end;
+  let c = t.arena_n in
+  let arena = t.arena in
+  arena.(c) <- n;
+  arena.(c + 1) <- (lbd lsl 2) lor (if learnt then learnt_bit else 0);
+  if learnt then begin
+    if t.act_n = Array.length t.cla_act then begin
+      let a = Array.make (max 16 (2 * t.act_n)) 0.0 in
+      Array.blit t.cla_act 0 a 0 t.act_n;
+      t.cla_act <- a
+    end;
+    t.cla_act.(t.act_n) <- 0.0;
+    arena.(c + 2) <- t.act_n;
+    t.act_n <- t.act_n + 1
+  end
+  else arena.(c + 2) <- -1;
+  Array.blit src 0 arena (c + hdr) n;
+  t.arena_n <- need;
+  c
 
 let var_decay = 1.0 /. 0.95
 let clause_decay = 1.0 /. 0.999
@@ -341,11 +405,16 @@ let create ?sanitize () =
   let activity = Array.make 16 0.0 in
   let solver =
     {
-      clauses = Vec.create ~dummy:dummy_clause;
-      learnts = Vec.create ~dummy:dummy_clause;
+      arena = Array.make 1024 0;
+      arena_n = 0;
+      wasted = 0;
+      cla_act = Array.make 16 0.0;
+      act_n = 0;
+      clauses = int_stack ();
+      learnts = int_stack ();
       assigns = Array.make 16 (-1);
       level = Array.make 16 (-1);
-      reason = Array.make 16 dummy_clause;
+      reason = Array.make 16 no_clause;
       watches = Array.init 32 (fun _ -> no_watches ());
       bin_watches = Array.init 32 (fun _ -> no_watches ());
       trail = lit_stack ();
@@ -358,9 +427,11 @@ let create ?sanitize () =
       cla_inc = 1.0;
       seen = Bytes.make 16 mark_none;
       an_learnt = lit_stack ();
+      an_out = int_stack ();
       an_toclear = int_stack ();
       an_stack = lit_stack ();
       an_index = int_stack ();
+      add_buf = int_stack ();
       lbd_stamp = Array.make 17 0;
       lbd_gen = 0;
       nvars = 0;
@@ -391,6 +462,7 @@ let create ?sanitize () =
           glue_clauses = 0;
           deleted_clauses = 0;
           db_reductions = 0;
+          compactions = 0;
         };
     }
   in
@@ -410,7 +482,7 @@ let ensure_var_capacity t n =
     in
     t.assigns <- grow t.assigns (-1);
     t.level <- grow t.level (-1);
-    t.reason <- grow t.reason dummy_clause;
+    t.reason <- grow t.reason no_clause;
     t.activity <- grow t.activity 0.0;
     Heap.set_priorities t.order t.activity;
     t.polarity <- grow t.polarity false;
@@ -442,6 +514,13 @@ let value_lit t l =
   let v = t.assigns.(Lit.var l) in
   if v < 0 then -1 else v lxor ((l :> int) land 1)
 
+(* The same for a literal held as an int.  With [a = -1] for an
+   unassigned variable, [a lxor (l land 1)] is negative, so comparing the
+   raw [lxor] with 0 or 1 tests "false" or "true" without a branch. *)
+let[@inline] value_int t l =
+  let a = Array.unsafe_get t.assigns (l lsr 1) in
+  if a < 0 then -1 else a lxor (l land 1)
+
 let decision_level t = t.trail_lim.ints_n
 
 let enqueue t l reason =
@@ -451,33 +530,37 @@ let enqueue t l reason =
   t.reason.(v) <- reason;
   push_lit t.trail l
 
-(* Literal-block distance of a (fully assigned) set of literals: the
-   number of distinct non-root decision levels it spans.  Uses a
-   generation-stamped per-level scratch array, so each call is O(|lits|). *)
-let compute_lbd t (lits : Lit.t array) =
+(* Literal-block distance of a (fully assigned) set of literals,
+   [a.(off .. off+n-1)]: the number of distinct non-root decision levels
+   it spans.  Uses a generation-stamped per-level scratch array, so each
+   call is O(n). *)
+let compute_lbd t (a : int array) off n =
   t.lbd_gen <- t.lbd_gen + 1;
   let g = t.lbd_gen in
-  let n = ref 0 in
-  for i = 0 to Array.length lits - 1 do
-    let lv = t.level.(Lit.var lits.(i)) in
+  let count = ref 0 in
+  for i = off to off + n - 1 do
+    let lv = t.level.(a.(i) lsr 1) in
     if lv > 0 && t.lbd_stamp.(lv) <> g then begin
       t.lbd_stamp.(lv) <- g;
-      incr n
+      incr count
     end
   done;
-  !n
+  !count
 
-(* Unit propagation.  Returns the conflicting clause, or [dummy_clause]
+(* Unit propagation.  Returns the conflicting clause, or [no_clause]
    when there is none.  Binary clauses propagate straight off their
    implication lists; longer clauses go through blocker-guarded
    two-watched-literal lists.  The [unsafe] accesses index a list below
-   its [w_n], the trail below its size, or a per-variable array with the
-   variable of a literal the solver created. *)
+   its [w_n], the trail below its size, a clause of the arena within its
+   size, or a per-variable array with the variable of a literal the
+   solver created.  Nothing here allocates a clause, so [t.arena] is
+   stable for the whole call. *)
 let propagate t =
-  let confl = ref dummy_clause in
+  let confl = ref no_clause in
   let assigns = t.assigns in
-  while !confl == dummy_clause && (not t.stop) && t.qhead < t.trail.lits_n do
-    let p = Array.unsafe_get t.trail.lits_a t.qhead in
+  let arena = t.arena in
+  while !confl < 0 && (not t.stop) && t.qhead < t.trail.lits_n do
+    let p = (Array.unsafe_get t.trail.lits_a t.qhead :> int) in
     t.qhead <- t.qhead + 1;
     t.stats.propagations <- t.stats.propagations + 1;
     t.prop_countdown <- t.prop_countdown - 1;
@@ -486,88 +569,87 @@ let propagate t =
       if t.deadline > 0.0 && Unix.gettimeofday () > t.deadline then
         t.stop <- true
     end;
-    let false_lit = Lit.neg p in
+    let false_lit = p lxor 1 in
     (* Binary implication lists: no clause memory touched, no watch
        relocation ever needed. *)
-    let bws = Array.unsafe_get t.bin_watches (false_lit :> int) in
-    let nb = bws.w_n in
+    let bws = Array.unsafe_get t.bin_watches false_lit in
+    let bw = bws.w and nb = bws.w_n in
     let bi = ref 0 in
-    while !confl == dummy_clause && !bi < nb do
-      let implied = Array.unsafe_get bws.w_lit !bi in
-      let a = Array.unsafe_get assigns (Lit.var implied) in
-      if a < 0 then enqueue t implied (Array.unsafe_get bws.w_cls !bi)
-      else if a lxor ((implied :> int) land 1) = 0 then
-        confl := Array.unsafe_get bws.w_cls !bi;
-      incr bi
+    while !confl < 0 && !bi < nb do
+      let implied = Array.unsafe_get bw (!bi + 1) in
+      let a = Array.unsafe_get assigns (implied lsr 1) in
+      if a < 0 then enqueue t (lit_of_int implied) (Array.unsafe_get bw !bi)
+      else if a lxor (implied land 1) = 0 then confl := Array.unsafe_get bw !bi;
+      bi := !bi + 2
     done;
-    if !confl == dummy_clause then begin
-      let ws = Array.unsafe_get t.watches (false_lit :> int) in
-      let cls = ws.w_cls and blk = ws.w_lit and n = ws.w_n in
-      let j = ref 0 in
-      for i = 0 to n - 1 do
-        let b = Array.unsafe_get blk i in
-        let ab = Array.unsafe_get assigns (Lit.var b) in
+    if !confl < 0 then begin
+      let ws = Array.unsafe_get t.watches false_lit in
+      let w = ws.w and n = ws.w_n in
+      let j = ref 0 and i = ref 0 in
+      while !i < n do
+        let c = Array.unsafe_get w !i and b = Array.unsafe_get w (!i + 1) in
         if
-          !confl != dummy_clause
-          || (ab >= 0 && ab lxor ((b :> int) land 1) = 1)
+          !confl >= 0
+          || Array.unsafe_get assigns (b lsr 1) lxor (b land 1) = 1
         then begin
           (* Satisfied via the blocker, clause memory never loaded; or a
              conflict was found, and the remaining watchers stay. *)
-          if !j <> i then begin
-            Array.unsafe_set cls !j (Array.unsafe_get cls i);
-            Array.unsafe_set blk !j b
+          if !j <> !i then begin
+            Array.unsafe_set w !j c;
+            Array.unsafe_set w (!j + 1) b
           end;
-          incr j
+          j := !j + 2
         end
-        else if (Array.unsafe_get cls i).removed then () (* dropped lazily *)
+        else if Array.unsafe_get arena (c + 1) land removed_bit <> 0 then
+          () (* dropped lazily *)
         else begin
-          let c = Array.unsafe_get cls i in
           (* Make sure the false literal is at position 1. *)
-          let lits = c.lits in
-          if Lit.equal (Array.unsafe_get lits 0) false_lit then begin
-            Array.unsafe_set lits 0 (Array.unsafe_get lits 1);
-            Array.unsafe_set lits 1 false_lit
+          let l0 = c + hdr in
+          if Array.unsafe_get arena l0 = false_lit then begin
+            Array.unsafe_set arena l0 (Array.unsafe_get arena (l0 + 1));
+            Array.unsafe_set arena (l0 + 1) false_lit
           end;
-          let first = Array.unsafe_get lits 0 in
-          let vf = value_lit t first in
+          let first = Array.unsafe_get arena l0 in
+          let vf = value_int t first in
           if vf = 1 then begin
             (* Clause already satisfied: keep the watch, remember the
                satisfying literal as the new blocker. *)
-            if !j <> i then Array.unsafe_set cls !j c;
-            Array.unsafe_set blk !j first;
-            incr j
+            if !j <> !i then Array.unsafe_set w !j c;
+            Array.unsafe_set w (!j + 1) first;
+            j := !j + 2
           end
           else begin
             (* Look for a new literal to watch. *)
-            let len = Array.length lits in
-            let k = ref 2 in
-            while !k < len && value_lit t (Array.unsafe_get lits !k) = 0 do
+            let stop = l0 + Array.unsafe_get arena c in
+            let k = ref (l0 + 2) in
+            while
+              !k < stop
+              && (let l = Array.unsafe_get arena !k in
+                  Array.unsafe_get assigns (l lsr 1) lxor (l land 1) = 0)
+            do
               incr k
             done;
-            if !k < len then begin
+            if !k < stop then begin
               (* Relocate the watch; it leaves this list. *)
-              Array.unsafe_set lits 1 (Array.unsafe_get lits !k);
-              Array.unsafe_set lits !k false_lit;
-              watch
-                (Array.unsafe_get t.watches (Array.unsafe_get lits 1 :> int))
-                c first
+              let l = Array.unsafe_get arena !k in
+              Array.unsafe_set arena (l0 + 1) l;
+              Array.unsafe_set arena !k false_lit;
+              watch (Array.unsafe_get t.watches l) c first
             end
             else begin
               (* Clause is unit or conflicting. *)
-              if !j <> i then begin
-                Array.unsafe_set cls !j c;
-                Array.unsafe_set blk !j b
+              if !j <> !i then begin
+                Array.unsafe_set w !j c;
+                Array.unsafe_set w (!j + 1) b
               end;
-              incr j;
-              if vf = 0 then confl := c else enqueue t first c
+              j := !j + 2;
+              if vf = 0 then confl := c else enqueue t (lit_of_int first) c
             end
           end
-        end
+        end;
+        i := !i + 2
       done;
-      if !j < n then begin
-        Array.fill cls !j (n - !j) dummy_clause;
-        ws.w_n <- !j
-      end
+      ws.w_n <- !j
     end
   done;
   !confl
@@ -585,9 +667,15 @@ let var_bump t v =
 let var_decay_activity t = t.var_inc <- t.var_inc *. var_decay
 
 let clause_bump t c =
-  c.cla_act <- c.cla_act +. t.cla_inc;
-  if c.cla_act > 1e20 then begin
-    Vec.iter (fun c -> c.cla_act <- c.cla_act *. 1e-20) t.learnts;
+  let slot = t.arena.(c + 2) in
+  let act = t.cla_act.(slot) +. t.cla_inc in
+  t.cla_act.(slot) <- act;
+  if act > 1e20 then begin
+    let ls = t.learnts in
+    for i = 0 to ls.ints_n - 1 do
+      let s = t.arena.(ls.ints_a.(i) + 2) in
+      t.cla_act.(s) <- t.cla_act.(s) *. 1e-20
+    done;
     t.cla_inc <- t.cla_inc *. 1e-20
   end
 
@@ -626,7 +714,7 @@ let abstract_level t v = 1 lsl (t.level.(v) land 31)
    only ever mark nodes removable whose reasons check out. *)
 let lit_redundant t p abstract_levels =
   let r = t.reason.(Lit.var p) in
-  if r == dummy_clause then false
+  if r = no_clause then false
   else begin
     let stack = t.an_stack and index = t.an_index in
     stack.lits_n <- 0;
@@ -634,9 +722,8 @@ let lit_redundant t p abstract_levels =
     let node = ref p and c = ref r and i = ref 0 in
     let result = ref true and walking = ref true in
     while !walking do
-      let lits = !c.lits in
-      if !i < Array.length lits then begin
-        let l = lits.(!i) in
+      if !i < c_size t !c then begin
+        let l = lit_of_int (c_lit t !c !i) in
         incr i;
         let v = Lit.var l in
         let m = Bytes.unsafe_get t.seen v in
@@ -646,7 +733,7 @@ let lit_redundant t p abstract_levels =
         then ()
         else if
           m = mark_failed
-          || t.reason.(v) == dummy_clause
+          || t.reason.(v) = no_clause
           || abstract_level t v land abstract_levels = 0
         then begin
           if Bytes.unsafe_get t.seen (Lit.var !node) = mark_none then
@@ -683,10 +770,10 @@ let lit_redundant t p abstract_levels =
   end
 
 (* First-UIP conflict analysis with recursive clause minimization.
-   Returns the learnt clause (asserting literal first, a literal of the
-   backjump level second), the backjump level, and the clause's LBD
-   (computed before backjumping, while all its literals are still
-   assigned). *)
+   Leaves the learnt clause in [t.an_out] (asserting literal first, a
+   literal of the backjump level second) and returns the backjump level
+   and the clause's LBD (computed before backjumping, while all its
+   literals are still assigned). *)
 let analyze t confl =
   let learnt = t.an_learnt in
   learnt.lits_n <- 0;
@@ -699,21 +786,21 @@ let analyze t confl =
   let continue = ref true in
   while !continue do
     let cl = !c in
-    if cl.learnt then begin
+    if c_learnt t cl then begin
       clause_bump t cl;
       (* Glucose: tighten the stored LBD when the clause takes part in a
          conflict — cheap and keeps glue detection honest. *)
-      if cl.lbd > 2 then begin
-        let l' = compute_lbd t cl.lits in
-        if l' < cl.lbd then cl.lbd <- l'
+      let lbd = c_lbd t cl in
+      if lbd > 2 then begin
+        let l' = compute_lbd t t.arena (cl + hdr) (c_size t cl) in
+        if l' < lbd then set_lbd t cl l'
       end
     end;
     (* Skip the implied literal when expanding a reason.  Binary reasons
        do not maintain the implied-literal-first invariant, so the skip is
        by variable rather than by position. *)
-    let lits = cl.lits in
-    for k = 0 to Array.length lits - 1 do
-      let q = lits.(k) in
+    for k = 0 to c_size t cl - 1 do
+      let q = lit_of_int (c_lit t cl k) in
       let v = Lit.var q in
       if
         v <> !skip_var
@@ -760,14 +847,17 @@ let analyze t confl =
       learnt.lits_a.(!top) <- q
     end
   done;
-  let lits = Array.make (1 + n - !top) uip in
+  let out = t.an_out in
+  out.ints_n <- 0;
+  push_int out (uip :> int);
   let btlevel = ref 0 in
   for i = 1 to n - !top do
     let q = learnt.lits_a.(n - i) in
-    lits.(i) <- q;
+    push_int out (q :> int);
     if t.level.(Lit.var q) > !btlevel then btlevel := t.level.(Lit.var q)
   done;
-  let lbd = compute_lbd t lits in
+  let lits = out.ints_a and len = out.ints_n in
+  let lbd = compute_lbd t lits 0 len in
   let toclear = t.an_toclear in
   for k = 0 to toclear.ints_n - 1 do
     Bytes.unsafe_set t.seen toclear.ints_a.(k) mark_none
@@ -775,27 +865,27 @@ let analyze t confl =
   toclear.ints_n <- 0;
   (* Put a literal of the backjump level at position 1 so the watches are
      valid after backjumping. *)
-  if Array.length lits > 1 then begin
+  if len > 1 then begin
     let max_i = ref 1 in
-    for i = 2 to Array.length lits - 1 do
-      if t.level.(Lit.var lits.(i)) > t.level.(Lit.var lits.(!max_i)) then
+    for i = 2 to len - 1 do
+      if t.level.(lits.(i) lsr 1) > t.level.(lits.(!max_i) lsr 1) then
         max_i := i
     done;
     let tmp = lits.(1) in
     lits.(1) <- lits.(!max_i);
     lits.(!max_i) <- tmp
   end;
-  (lits, !btlevel, lbd)
+  (!btlevel, lbd)
 
 let attach t c =
-  let a = c.lits.(0) and b = c.lits.(1) in
-  if Array.length c.lits = 2 then begin
-    watch t.bin_watches.((a :> int)) c b;
-    watch t.bin_watches.((b :> int)) c a
+  let a = c_lit t c 0 and b = c_lit t c 1 in
+  if c_size t c = 2 then begin
+    watch t.bin_watches.(a) c b;
+    watch t.bin_watches.(b) c a
   end
   else begin
-    watch t.watches.((a :> int)) c b;
-    watch t.watches.((b :> int)) c a
+    watch t.watches.(a) c b;
+    watch t.watches.(b) c a
   end
 
 (* ------------------------------------------------------------------ *)
@@ -808,19 +898,55 @@ let attach t c =
 let fail_sanitize fmt =
   Printf.ksprintf (fun msg -> raise (Sanitizer_violation msg)) fmt
 
-(* Is [c] in the first [w_n] slots of [ws], paired with literal [l]
+(* Is cref [c] in the first [w_n] words of [ws], paired with literal [l]
    (any literal when [l] is [None])? *)
 let watched_in (ws : watches) c l =
   let rec go i =
     i < ws.w_n
-    && ((ws.w_cls.(i) == c
-        && match l with None -> true | Some l -> Lit.equal ws.w_lit.(i) l)
-       || go (i + 1))
+    && ((ws.w.(i) = c
+        && match l with None -> true | Some l -> ws.w.(i + 1) = l)
+       || go (i + 2))
   in
+  go 0
+
+let clause_has t c l =
+  let rec go k = k < c_size t c && (c_lit t c k = l || go (k + 1)) in
   go 0
 
 let sanitize_check t =
   let n_lits = 2 * t.nvars in
+  (* Arena layout: walking the headers from offset 0 must land exactly on
+     [arena_n]; every clause has at least two literals of known variables;
+     the removed words add up to [wasted].  [starts] marks the start of
+     every live ('\001') and removed ('\002') clause, so a cref anywhere
+     else is caught below. *)
+  let starts = Bytes.make (t.arena_n + 1) '\000' in
+  let c = ref 0 and dead = ref 0 in
+  while !c < t.arena_n do
+    let size = t.arena.(!c) in
+    if size < 2 || !c + hdr + size > t.arena_n then
+      fail_sanitize "arena header at %d has size %d" !c size;
+    for k = 0 to size - 1 do
+      let l = c_lit t !c k in
+      if l < 0 || l >= n_lits then
+        fail_sanitize "arena clause at %d holds literal %d" !c l
+    done;
+    if c_learnt t !c then begin
+      let slot = t.arena.(!c + 2) in
+      if slot < 0 || slot >= t.act_n then
+        fail_sanitize "learnt clause at %d has activity slot %d" !c slot
+    end;
+    if c_removed t !c then begin
+      dead := !dead + hdr + size;
+      Bytes.set starts !c '\002'
+    end
+    else Bytes.set starts !c '\001';
+    c := !c + hdr + size
+  done;
+  if !c <> t.arena_n then fail_sanitize "arena walk overruns its end";
+  if !dead <> t.wasted then
+    fail_sanitize "arena holds %d removed words, accounted %d" !dead t.wasted;
+  let live c = c >= 0 && c < t.arena_n && Bytes.get starts c = '\001' in
   (* Trail, assignment and level consistency. *)
   let n_trail = t.trail.lits_n in
   if t.qhead > n_trail then fail_sanitize "qhead %d beyond trail %d" t.qhead n_trail;
@@ -841,15 +967,15 @@ let sanitize_check t =
     if t.level.(v) <> !seg then
       fail_sanitize "trail var %d has level %d, expected %d" v t.level.(v) !seg;
     let c = t.reason.(v) in
-    if c != dummy_clause then begin
-      if c.removed then fail_sanitize "reason clause of var %d is removed" v;
-      if not (Array.exists (Lit.equal l) c.lits) then
+    if c <> no_clause then begin
+      if not (live c) then fail_sanitize "reason clause of var %d is not live" v;
+      if not (clause_has t c (Lit.to_int l)) then
         fail_sanitize "reason clause of var %d misses its literal" v;
-      Array.iter
-        (fun q ->
-          if (not (Lit.equal q l)) && value_lit t q <> 0 then
-            fail_sanitize "reason clause of var %d not falsified elsewhere" v)
-        c.lits
+      for k = 0 to c_size t c - 1 do
+        let q = c_lit t c k in
+        if q <> Lit.to_int l && value_int t q <> 0 then
+          fail_sanitize "reason clause of var %d not falsified elsewhere" v
+      done
     end
   done;
   let assigned = ref 0 in
@@ -868,171 +994,296 @@ let sanitize_check t =
     if t.assigns.(v) < 0 && not (Heap.mem t.order v) then
       fail_sanitize "unassigned var %d missing from VSIDS heap" v
   done;
-  (* Watcher coherence: every live watcher sits on one of the clause's
-     first two literals and carries a blocker from the clause; every
-     binary watcher implies the other literal of its clause. *)
+  (* Watcher coherence: every watcher names a clause start (a removed one
+     only until propagation drops it); every live watcher sits on one of
+     the clause's first two literals and carries a blocker from the
+     clause; every binary watcher implies the other literal of its
+     clause. *)
+  let started c = c >= 0 && c < t.arena_n && Bytes.get starts c <> '\000' in
   for key = 0 to n_lits - 1 do
     let ws = t.watches.(key) in
-    for i = 0 to ws.w_n - 1 do
-      let c = ws.w_cls.(i) in
-      if not c.removed then begin
-        let lits = c.lits in
-        if Array.length lits < 3 then
+    let i = ref 0 in
+    while !i < ws.w_n do
+      let c = ws.w.(!i) in
+      if not (started c) then fail_sanitize "watcher at %d names no clause" key;
+      if live c then begin
+        if c_size t c < 3 then
           fail_sanitize "short clause in long-clause watch list %d" key;
-        if not (Lit.to_int lits.(0) = key || Lit.to_int lits.(1) = key) then
+        if not (c_lit t c 0 = key || c_lit t c 1 = key) then
           fail_sanitize "watcher at %d not on a watched literal" key;
-        if not (Array.exists (Lit.equal ws.w_lit.(i)) lits) then
+        if not (clause_has t c ws.w.(!i + 1)) then
           fail_sanitize "blocker at %d not a literal of its clause" key
-      end
+      end;
+      i := !i + 2
     done;
     let bws = t.bin_watches.(key) in
-    for i = 0 to bws.w_n - 1 do
-      let c = bws.w_cls.(i) in
-      if not c.removed then begin
-        let lits = c.lits in
-        if Array.length lits <> 2 then
-          fail_sanitize "non-binary clause in binary list %d" key;
-        let a = Lit.to_int lits.(0) and b = Lit.to_int lits.(1) in
-        let o = Lit.to_int bws.w_lit.(i) in
-        if not ((a = key && b = o) || (b = key && a = o)) then
-          fail_sanitize "binary watcher at %d disagrees with its clause" key
-      end
+    let i = ref 0 in
+    while !i < bws.w_n do
+      let c = bws.w.(!i) in
+      if not (live c) then fail_sanitize "binary watcher at %d names no live clause" key;
+      if c_size t c <> 2 then
+        fail_sanitize "non-binary clause in binary list %d" key;
+      let a = c_lit t c 0 and b = c_lit t c 1 in
+      let o = bws.w.(!i + 1) in
+      if not ((a = key && b = o) || (b = key && a = o)) then
+        fail_sanitize "binary watcher at %d disagrees with its clause" key;
+      i := !i + 2
     done
   done;
-  (* Attachment: every live clause is present in the lists it must be
-     watched from; a binary clause in both literals' lists, each entry
-     implying the other literal (symmetry). *)
-  let check_attached (c : clause) =
-    if not c.removed then begin
-      let len = Array.length c.lits in
-      if len < 2 then fail_sanitize "attached clause of length %d" len;
-      let a = c.lits.(0) and b = c.lits.(1) in
-      if len = 2 then begin
-        if
-          not
-            (watched_in t.bin_watches.(Lit.to_int a) c (Some b)
-            && watched_in t.bin_watches.(Lit.to_int b) c (Some a))
-        then fail_sanitize "binary clause not symmetrically attached"
-      end
-      else if
+  (* Attachment: every listed clause is live and present in the lists it
+     must be watched from; a binary clause in both literals' lists, each
+     entry implying the other literal (symmetry). *)
+  let check_attached ~learnt c =
+    if not (live c) then fail_sanitize "clause list names a dead cref %d" c;
+    if c_learnt t c <> learnt then
+      fail_sanitize "clause %d is in the wrong clause list" c;
+    let a = c_lit t c 0 and b = c_lit t c 1 in
+    if c_size t c = 2 then begin
+      if
         not
-          (watched_in t.watches.(Lit.to_int a) c None
-          && watched_in t.watches.(Lit.to_int b) c None)
-      then fail_sanitize "clause not attached at its first two literals"
+          (watched_in t.bin_watches.(a) c (Some b)
+          && watched_in t.bin_watches.(b) c (Some a))
+      then fail_sanitize "binary clause not symmetrically attached"
     end
+    else if not (watched_in t.watches.(a) c None && watched_in t.watches.(b) c None)
+    then fail_sanitize "clause not attached at its first two literals"
   in
-  Vec.iter check_attached t.clauses;
-  Vec.iter check_attached t.learnts
+  for i = 0 to t.clauses.ints_n - 1 do
+    check_attached ~learnt:false t.clauses.ints_a.(i)
+  done;
+  for i = 0 to t.learnts.ints_n - 1 do
+    check_attached ~learnt:true t.learnts.ints_a.(i)
+  done;
+  (* Every live clause of the arena is on exactly one of the two lists. *)
+  let listed = t.clauses.ints_n + t.learnts.ints_n in
+  let n_live = ref 0 in
+  Bytes.iter (fun b -> if b = '\001' then incr n_live) starts;
+  if !n_live <> listed then
+    fail_sanitize "arena holds %d live clauses, lists name %d" !n_live listed
 
 (* At a Sat exit the full assignment must satisfy every problem clause —
    the cheapest end-to-end refutation of watch-list or propagation bugs. *)
 let sanitize_check_model t =
-  Vec.iter
-    (fun (c : clause) ->
-      if
-        (not c.removed)
-        && not (Array.exists (fun l -> value_lit t l = 1) c.lits)
-      then fail_sanitize "model falsifies a problem clause")
-    t.clauses
+  for i = 0 to t.clauses.ints_n - 1 do
+    let c = t.clauses.ints_a.(i) in
+    let rec sat k = k < c_size t c && (value_int t (c_lit t c k) = 1 || sat (k + 1)) in
+    if not (sat 0) then fail_sanitize "model falsifies a problem clause"
+  done
 
-let record_learnt t lits lbd =
-  emit_learn t lits;
+let record_learnt t lbd =
+  let out = t.an_out in
+  let n = out.ints_n in
+  (match t.proof with
+  | None -> ()
+  | Some sink ->
+    sink (Proof.Learn (Array.init n (fun k -> lit_of_int out.ints_a.(k)))));
   t.stats.learnt_clauses <- t.stats.learnt_clauses + 1;
   let lbd = max 1 lbd in
   t.stats.learnt_lbd_sum <- t.stats.learnt_lbd_sum + lbd;
   if lbd <= 2 then t.stats.glue_clauses <- t.stats.glue_clauses + 1;
-  if Array.length lits = 1 then enqueue t lits.(0) dummy_clause
+  let first = lit_of_int out.ints_a.(0) in
+  if n = 1 then enqueue t first no_clause
   else begin
-    let c = { lits; cla_act = 0.0; lbd; learnt = true; removed = false } in
+    let c = alloc_clause t out.ints_a n ~learnt:true ~lbd in
     attach t c;
-    Vec.push t.learnts c;
+    push_int t.learnts c;
     clause_bump t c;
-    t.stats.learnts_literals <- t.stats.learnts_literals + Array.length lits;
-    enqueue t lits.(0) c
+    t.stats.learnts_literals <- t.stats.learnts_literals + n;
+    enqueue t first c
   end
 
-(* Sorted by the packed representation, the two literals of a variable
-   are adjacent. *)
-let rec has_complementary_pair = function
-  | a :: (b :: _ as rest) ->
-    Lit.equal b (Lit.neg a) || has_complementary_pair rest
-  | [] | [ _ ] -> false
+(* Add the problem clause held in [t.add_buf] (literals as ints, already
+   range-checked).  The literals are sorted when they are not already
+   (the sanitizing sink hands them over sorted), which puts duplicates
+   and the two literals of a variable side by side; then one pass
+   normalizes the clause: a tautology or a literal true at level 0 drops
+   it, and a duplicate or a literal false at level 0 drops the
+   literal. *)
+let add_buffered t =
+  let buf = t.add_buf in
+  let a = buf.ints_a and n = buf.ints_n in
+  let sorted = ref true in
+  for i = 1 to n - 1 do
+    if a.(i) <= a.(i - 1) then sorted := false
+  done;
+  if not !sorted then begin
+    let sub = Array.sub a 0 n in
+    Array.sort Int.compare sub;
+    Array.blit sub 0 a 0 n
+  end;
+  let kept = ref 0 and prev = ref (-2) and drop = ref false and i = ref 0 in
+  while (not !drop) && !i < n do
+    let x = a.(!i) in
+    if x <> !prev then begin
+      if x = !prev lxor 1 then drop := true
+      else begin
+        let v = value_int t x in
+        if v = 1 then drop := true
+        else if v < 0 then begin
+          a.(!kept) <- x;
+          incr kept
+        end
+      end;
+      prev := x
+    end;
+    incr i
+  done;
+  if not !drop then
+    match !kept with
+    | 0 ->
+      t.ok <- false;
+      emit_refutation t
+    | 1 ->
+      enqueue t (lit_of_int a.(0)) no_clause;
+      if propagate t <> no_clause then begin
+        t.ok <- false;
+        emit_refutation t
+      end
+    | k ->
+      let c = alloc_clause t a k ~learnt:false ~lbd:0 in
+      attach t c;
+      push_int t.clauses c
 
 (* Add a problem clause.  Only legal at decision level 0 (the MaxSAT driver
    always backtracks before adding constraints). *)
 let add_clause t (lits : Lit.t list) =
   assert (decision_level t = 0);
   if t.ok then begin
-    List.iter (fun l -> ensure_var_capacity t (Lit.var l + 1)) lits;
+    let buf = t.add_buf in
+    buf.ints_n <- 0;
     List.iter
       (fun l ->
-        if Lit.var l >= t.nvars then
-          invalid_arg "Solver.add_clause: unknown variable")
+        ensure_var_capacity t (Lit.var l + 1);
+        push_int buf (l :> int))
       lits;
-    (* Simplify: drop duplicates and false literals; detect tautologies and
-       satisfied clauses. *)
-    let sorted = List.sort_uniq Lit.compare lits in
-    let tautology = has_complementary_pair sorted in
-    let satisfied = List.exists (fun l -> value_lit t l = 1) sorted in
-    if not (tautology || satisfied) then begin
-      let remaining = List.filter (fun l -> value_lit t l <> 0) sorted in
-      match remaining with
-      | [] ->
-        t.ok <- false;
-        emit_refutation t
-      | [ l ] ->
-        enqueue t l dummy_clause;
-        if propagate t != dummy_clause then begin
-          t.ok <- false;
-          emit_refutation t
-        end
-      | _ :: _ :: _ ->
-        let c =
-          {
-            lits = Array.of_list remaining;
-            cla_act = 0.0;
-            lbd = 0;
-            learnt = false;
-            removed = false;
-          }
-        in
-        attach t c;
-        Vec.push t.clauses c
-    end
+    for i = 0 to buf.ints_n - 1 do
+      if buf.ints_a.(i) lsr 1 >= t.nvars then
+        invalid_arg "Solver.add_clause: unknown variable"
+    done;
+    add_buffered t
   end
 
+let add_packed ?(check = fun () -> ()) t (stream : int array) =
+  assert (decision_level t = 0);
+  let len = Array.length stream in
+  let pos = ref 0 and count = ref 0 in
+  while t.ok && !pos < len do
+    if !count land 4095 = 0 then check ();
+    incr count;
+    let n = stream.(!pos) in
+    if n < 0 || !pos + 1 + n > len then invalid_arg "Solver.add_packed";
+    let buf = t.add_buf in
+    buf.ints_n <- 0;
+    for k = !pos + 1 to !pos + n do
+      let x = stream.(k) in
+      if x < 0 || x lsr 1 >= t.nvars then
+        invalid_arg "Solver.add_packed: unknown variable";
+      push_int buf x
+    done;
+    pos := !pos + 1 + n;
+    add_buffered t
+  done
+
 let locked t c =
-  Array.length c.lits > 0
-  && value_lit t c.lits.(0) = 1
-  && t.reason.(Lit.var c.lits.(0)) == c
+  let l = c_lit t c 0 in
+  value_int t l = 1 && t.reason.(l lsr 1) = c
+
+(* Copy the live clauses into a fresh arena, in arena order, and relocate
+   every cref held elsewhere.  The forwarding address of a moved clause
+   is left in its old header's activity word.  Watchers of removed
+   clauses are dropped here instead of on their next visit; every list
+   keeps the order of its live entries, and reasons, activities and LBDs
+   move with their clauses, so the search cannot tell that it ran. *)
+let compact t =
+  t.stats.compactions <- t.stats.compactions + 1;
+  let old = t.arena and old_n = t.arena_n in
+  let live = old_n - t.wasted in
+  let fresh = Array.make (max 1024 (2 * live)) 0 in
+  let acts = Array.make (max 16 (2 * t.learnts.ints_n)) 0.0 in
+  let n = ref 0 and na = ref 0 and c = ref 0 in
+  while !c < old_n do
+    let len = hdr + old.(!c) in
+    if old.(!c + 1) land removed_bit = 0 then begin
+      Array.blit old !c fresh !n len;
+      if old.(!c + 1) land learnt_bit <> 0 then begin
+        acts.(!na) <- t.cla_act.(old.(!c + 2));
+        fresh.(!n + 2) <- !na;
+        incr na
+      end;
+      old.(!c + 2) <- !n;
+      n := !n + len
+    end;
+    c := !c + len
+  done;
+  let relocate (ws : watches) =
+    let w = ws.w in
+    let j = ref 0 and i = ref 0 in
+    while !i < ws.w_n do
+      let cr = w.(!i) in
+      if old.(cr + 1) land removed_bit = 0 then begin
+        w.(!j) <- old.(cr + 2);
+        w.(!j + 1) <- w.(!i + 1);
+        j := !j + 2
+      end;
+      i := !i + 2
+    done;
+    ws.w_n <- !j
+  in
+  for l = 0 to (2 * t.nvars) - 1 do
+    relocate t.watches.(l);
+    relocate t.bin_watches.(l)
+  done;
+  for v = 0 to t.nvars - 1 do
+    let r = t.reason.(v) in
+    t.reason.(v) <- (if t.assigns.(v) >= 0 && r <> no_clause then old.(r + 2) else no_clause)
+  done;
+  let relocate_list s =
+    for i = 0 to s.ints_n - 1 do
+      s.ints_a.(i) <- old.(s.ints_a.(i) + 2)
+    done
+  in
+  relocate_list t.clauses;
+  relocate_list t.learnts;
+  t.arena <- fresh;
+  t.arena_n <- !n;
+  t.wasted <- 0;
+  t.cla_act <- acts;
+  t.act_n <- !na
 
 (* Glucose-style learnt-clause management: glue clauses (LBD <= 2),
    binary clauses, and locked clauses survive forever; the worst half of
    the rest — highest LBD first, lowest activity as the tiebreak — is
-   dropped.  Removed clauses are detached lazily by [propagate]. *)
+   dropped.  Removed clauses are detached lazily by [propagate], or all
+   at once when the arena is compacted: once removed clauses fill more
+   than half of it. *)
 let reduce_db t =
   t.stats.db_reductions <- t.stats.db_reductions + 1;
-  let n = Vec.size t.learnts in
-  Vec.sort
+  let ls = t.learnts in
+  let n = ls.ints_n in
+  let sorted = Array.sub ls.ints_a 0 n in
+  Array.sort
     (fun a b ->
-      if a.lbd <> b.lbd then Int.compare b.lbd a.lbd
-      else Float.compare a.cla_act b.cla_act)
-    t.learnts;
-  let kept = Vec.create ~dummy:dummy_clause in
-  Vec.iteri
+      let la = c_lbd t a and lb = c_lbd t b in
+      if la <> lb then Int.compare lb la
+      else Float.compare t.cla_act.(t.arena.(a + 2)) t.cla_act.(t.arena.(b + 2)))
+    sorted;
+  let j = ref 0 in
+  Array.iteri
     (fun i c ->
-      let keep =
-        Array.length c.lits <= 2 || c.lbd <= 2 || locked t c || i >= n / 2
-      in
-      if keep then Vec.push kept c
+      let keep = c_size t c <= 2 || c_lbd t c <= 2 || locked t c || i >= n / 2 in
+      if keep then begin
+        ls.ints_a.(!j) <- c;
+        incr j
+      end
       else begin
-        c.removed <- true;
-        emit_delete t c.lits;
+        t.arena.(c + 1) <- t.arena.(c + 1) lor removed_bit;
+        t.wasted <- t.wasted + hdr + c_size t c;
+        emit_delete t c;
         t.stats.deleted_clauses <- t.stats.deleted_clauses + 1
       end)
-    t.learnts;
-  Vec.clear t.learnts;
-  Vec.iter (fun c -> Vec.push t.learnts c) kept
+    sorted;
+  ls.ints_n <- !j;
+  if 2 * t.wasted > t.arena_n then compact t
 
 (* Luby restart sequence. *)
 let luby y i =
@@ -1064,13 +1315,12 @@ let analyze_final t p =
       let v = Lit.var l in
       if Bytes.get t.seen v <> mark_none then begin
         let c = t.reason.(v) in
-        if c == dummy_clause then core := l :: !core
+        if c = no_clause then core := l :: !core
         else
-          Array.iter
-            (fun q ->
-              if t.level.(Lit.var q) > 0 then
-                Bytes.set t.seen (Lit.var q) mark_source)
-            c.lits;
+          for k = 0 to c_size t c - 1 do
+            let q = c_lit t c k in
+            if t.level.(q lsr 1) > 0 then Bytes.set t.seen (q lsr 1) mark_source
+          done;
         Bytes.set t.seen v mark_none
       end
     done;
@@ -1103,8 +1353,8 @@ let solve_with_core ?(assumptions = []) ?deadline t =
           ~args:
             [
               ("vars", Obs.Trace.Int t.nvars);
-              ("clauses", Obs.Trace.Int (Vec.size t.clauses));
-              ("learnts", Obs.Trace.Int (Vec.size t.learnts));
+              ("clauses", Obs.Trace.Int t.clauses.ints_n);
+              ("learnts", Obs.Trace.Int t.learnts.ints_n);
               ("assumptions", Obs.Trace.Int (List.length assumptions));
             ]
       else Obs.Trace.null_span
@@ -1118,7 +1368,7 @@ let solve_with_core ?(assumptions = []) ?deadline t =
     let restarts = ref 0 in
     let result = ref Unknown in
     (try
-       if propagate t != dummy_clause then begin
+       if propagate t <> no_clause then begin
          t.ok <- false;
          emit_refutation t;
          raise (Found_result Unsat)
@@ -1130,7 +1380,7 @@ let solve_with_core ?(assumptions = []) ?deadline t =
          let restart = ref false in
          while not !restart do
            let confl = propagate t in
-           if confl != dummy_clause then begin
+           if confl <> no_clause then begin
              t.stats.conflicts <- t.stats.conflicts + 1;
              incr conflicts_here;
              if decision_level t = 0 then begin
@@ -1138,9 +1388,9 @@ let solve_with_core ?(assumptions = []) ?deadline t =
                emit_refutation t;
                raise (Found_result Unsat)
              end;
-             let lits, btlevel, lbd = analyze t confl in
+             let btlevel, lbd = analyze t confl in
              cancel_until t btlevel;
-             record_learnt t lits lbd;
+             record_learnt t lbd;
              var_decay_activity t;
              clause_decay_activity t;
              if
@@ -1191,7 +1441,7 @@ let solve_with_core ?(assumptions = []) ?deadline t =
                  raise (Found_result Unsat)
                | _ ->
                  push_int t.trail_lim t.trail.lits_n;
-                 enqueue t a dummy_clause
+                 enqueue t a no_clause
              end
              else begin
                t.stats.decisions <- t.stats.decisions + 1;
@@ -1208,7 +1458,7 @@ let solve_with_core ?(assumptions = []) ?deadline t =
                  raise (Found_result Sat)
                end;
                push_int t.trail_lim t.trail.lits_n;
-               enqueue t (Lit.of_var ~sign:t.polarity.(!v) !v) dummy_clause
+               enqueue t (Lit.of_var ~sign:t.polarity.(!v) !v) no_clause
              end
            end
          done
@@ -1278,6 +1528,6 @@ let stats t = t.stats
 
 let ok t = t.ok
 
-let n_clauses t = Vec.size t.clauses
+let n_clauses t = t.clauses.ints_n
 
-let n_learnts t = Vec.size t.learnts
+let n_learnts t = t.learnts.ints_n

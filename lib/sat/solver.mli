@@ -1,6 +1,7 @@
 (** A CDCL SAT solver (Glucose-class, grown out of the MiniSat lineage).
 
-    Features: two-watched-literal propagation with blocker literals,
+    Clauses live in one flat integer arena.  Features:
+    two-watched-literal propagation with blocker literals,
     dedicated binary-clause implication lists, first-UIP clause learning
     with recursive conflict-clause minimization, LBD ("glue")-based
     learnt-clause management, VSIDS decision heuristic, phase saving,
@@ -26,6 +27,9 @@ type stats = {
   mutable glue_clauses : int;  (** learnt clauses with LBD <= 2 *)
   mutable deleted_clauses : int;  (** learnts evicted by [reduce_db] *)
   mutable db_reductions : int;  (** number of [reduce_db] passes *)
+  mutable compactions : int;
+      (** clause-arena compactions: passes that copied the live clauses
+          out once removed ones filled more than half of the arena *)
 }
 
 val copy_stats : stats -> stats
@@ -78,7 +82,8 @@ val create : ?sanitize:bool -> unit -> t
     conflicts, and the assignment is re-checked against every problem
     clause before [Sat] is returned.  Defaults to the [SATMAP_SANITIZE]
     environment variable ([1]/[true]/[yes]/[on]); costs a single boolean
-    test per conflict when off. *)
+    test per conflict when off.  {!sanitize_check} also checks the clause
+    arena's layout. *)
 
 val new_var : t -> Lit.var
 (** Allocate a fresh variable (numbered consecutively from 0). *)
@@ -89,6 +94,14 @@ val add_clause : t -> Lit.t list -> unit
 (** Add a problem clause.  Must only be called between [solve] calls (the
     solver is at decision level 0 then).  Adding the empty clause (or a
     clause falsified at level 0) makes the solver permanently unsat. *)
+
+val add_packed : ?check:(unit -> unit) -> t -> int array -> unit
+(** [add_packed t stream] adds the clauses packed in [stream], each as
+    its literal count followed by its literals as {!Lit.to_int} values,
+    in order and each exactly as {!add_clause} would, so a recorded
+    clause stream reloads into the state its first load produced.  Every
+    variable must exist already.  [check] runs before every 4096th
+    clause (a deadline test may raise from it). *)
 
 val solve : ?assumptions:Lit.t list -> ?deadline:float -> t -> result
 (** Solve the current clause set.  [assumptions] are temporarily-forced
@@ -142,8 +155,10 @@ val set_proof_sink : t -> Proof.sink option -> unit
 val reduce_db : t -> unit
 (** Force a learnt-database reduction pass (glucose retention: glue,
     binary and locked clauses survive; the worst half of the rest by
-    LBD-then-activity is dropped).  Normally triggered automatically
-    during search; exposed for tests and tuning experiments. *)
+    LBD-then-activity is dropped), followed by an arena compaction when
+    removed clauses fill more than half of the arena.  Normally
+    triggered automatically during search; exposed for tests and tuning
+    experiments. *)
 
 val ok : t -> bool
 (** [false] once the clause set has been proved unsat at level 0. *)

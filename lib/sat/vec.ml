@@ -1,4 +1,4 @@
-(* Growable arrays used throughout the solver. *)
+(* Growable arrays, used to collect clauses. *)
 
 type 'a t = {
   mutable data : 'a array;

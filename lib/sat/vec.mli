@@ -1,4 +1,5 @@
-(** Growable arrays with explicit size, used by the solver internals.
+(** Growable arrays with explicit size, used to collect clauses (the
+    sink builder, encoders).  The solver keeps its own monomorphic stacks.
 
     A dummy element is required to fill unused capacity so that values do
     not leak (and so [pop] can reset slots). *)

@@ -769,6 +769,25 @@ let test_router_parallel_portfolio () =
   Alcotest.(check bool) "verifies" true
     (Satmap.Verifier.is_valid ~original:circuit r)
 
+(* [timeout] bounds the whole portfolio call, not each member: four
+   slice sizes at one second must not take four seconds.  Size 10 finds
+   this route's 3 SWAPs in about 0.1 s, inside its quarter. *)
+let test_router_portfolio_budget () =
+  let circuit =
+    (List.find
+       (fun (b : Workloads.Suite.benchmark) -> b.name = "local-5q-078")
+       (Workloads.Suite.full ()))
+      .circuit
+  in
+  let config = { Satmap.Router.default_config with timeout = 1.0 } in
+  let t0 = Unix.gettimeofday () in
+  let best, _ = Satmap.Router.route_portfolio ~config tokyo circuit in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  if elapsed > 1.5 then
+    Alcotest.failf "a 1 s portfolio took %.2f s" elapsed;
+  let r, _ = get_routed best in
+  Alcotest.(check int) "best routing" 3 (Satmap.Routed.n_swaps r)
+
 let test_router_expired_timeout () =
   let device = tokyo in
   let rng = Rng.create 99 in
@@ -1352,6 +1371,8 @@ let suite =
         Alcotest.test_case "portfolio" `Quick test_router_portfolio;
         Alcotest.test_case "parallel portfolio" `Quick
           test_router_parallel_portfolio;
+        Alcotest.test_case "portfolio budget" `Quick
+          test_router_portfolio_budget;
         Alcotest.test_case "expired timeout" `Quick test_router_expired_timeout;
         Alcotest.test_case "block result classification" `Quick
           test_block_result_classification;

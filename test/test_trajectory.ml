@@ -7,7 +7,10 @@
    result, conflicts, decisions, propagations, and learnt and deleted
    clauses; per route the same counters summed over its solves, and an MD5
    of the routed circuit.  A kernel change that drifts any of them changes
-   the search, not just its speed, and must say so by re-recording.
+   the search, not just its speed, and must say so by re-recording.  A
+   second layout rework, which moved every clause into one flat integer
+   arena (crefs in watchers, reasons and clause lists, with compaction),
+   kept every row; the compaction row below was recorded before it.
 
    The [route] rows use the free placement, so the router's default
    slice-0 pin does not move them.  One route row was re-recorded for a
@@ -106,20 +109,44 @@ let random_3cnf ~seed ~vars ~clauses =
   done;
   (s, rng)
 
-let random_trajectory ~seed =
-  let vars = 150 in
-  let s, rng = random_3cnf ~seed ~vars ~clauses:(40 * vars / 10) in
-  Sat.Solver.set_reduce_db_params s ~first:150 ~inc:50;
-  List.init 6 (fun k ->
-      let assumptions =
-        List.init (2 * k) (fun _ -> lit ~sign:(Rng.bool rng) (Rng.int rng vars))
-      in
-      record_solve ~assumptions s)
+(* Six solves under 0, 2, ..., 10 random assumptions; returns their
+   records and the solver.  [density] is clauses per ten variables, and
+   [first]/[inc] the reduce_db schedule. *)
+let random_trajectory ?(vars = 150) ?(density = 40) ?(first = 150)
+    ?(inc = 50) ~seed () =
+  let s, rng = random_3cnf ~seed ~vars ~clauses:(density * vars / 10) in
+  Sat.Solver.set_reduce_db_params s ~first ~inc;
+  let rows =
+    List.init 6 (fun k ->
+        let assumptions =
+          List.init (2 * k) (fun _ ->
+              lit ~sign:(Rng.bool rng) (Rng.int rng vars))
+        in
+        record_solve ~assumptions s)
+  in
+  (rows, s)
 
 let test_random seed expected () =
   Alcotest.check records
     (Printf.sprintf "random 3-CNF seed %d" seed)
-    expected (random_trajectory ~seed)
+    expected
+    (fst (random_trajectory ~seed ()))
+
+(* A compaction-heavy search: a reduction pass every 64 conflicts evicts
+   most learnt clauses as they age, so the clause store turns over many
+   times and must compact while watchers and reasons point into it.  The
+   row was recorded from the solver that kept one heap record per clause;
+   the solver now also reports how often it compacted its clause arena,
+   and the row must both compact and come back exactly. *)
+let test_compaction seed expected () =
+  let rows, s =
+    random_trajectory ~vars:200 ~density:42 ~first:64 ~inc:0 ~seed ()
+  in
+  Alcotest.check records
+    (Printf.sprintf "compaction-heavy 3-CNF seed %d" seed)
+    expected rows;
+  if (Sat.Solver.stats s).compactions < 1 then
+    Alcotest.failf "seed %d: the clause arena never compacted" seed
 
 (* ------------------------------------------------------------------ *)
 (* Sliced routes on tokyo through an incremental encoding session *)
@@ -223,6 +250,19 @@ let () =
                 ("unsat", 0, 0, 5, 0, 0);
               ] );
           ] );
+      ( "compaction",
+        [
+          Alcotest.test_case "seed 6" `Quick
+            (test_compaction 6
+               [
+                 ("sat", 2571, 3319, 100683, 2571, 2364);
+                 ("sat", 9326, 11617, 367688, 9326, 8963);
+                 ("sat", 0, 34, 200, 0, 0);
+                 ("unsat", 1008, 1240, 39121, 1008, 998);
+                 ("unsat", 227, 282, 8426, 227, 255);
+                 ("unsat", 478, 575, 18320, 478, 439);
+               ]);
+        ] );
       ( "route",
         List.map
           (fun (name, expected) ->
